@@ -93,15 +93,16 @@ inline PreTestResult RunPreTest(const data::AirQualityOptions& options,
       ValueOrDie(generator.GenerateAll(), "generate stations");
 
   // Global min-max scaling (in the protocol, from the shipped bounds).
-  data::Dataset pooled = stations[0];
-  for (size_t i = 1; i < stations.size(); ++i) {
-    pooled = ValueOrDie(pooled.Concat(stations[i]), "pool");
+  std::vector<const Matrix*> features, targets;
+  for (const auto& s : stations) {
+    features.push_back(&s.features());
+    targets.push_back(&s.targets());
   }
   data::Normalizer fnorm = ValueOrDie(
-      data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax),
+      data::Normalizer::FitParts(features, data::ScalingKind::kMinMax),
       "feature norm");
   data::Normalizer tnorm = ValueOrDie(
-      data::Normalizer::Fit(pooled.targets(), data::ScalingKind::kMinMax),
+      data::Normalizer::FitParts(targets, data::ScalingKind::kMinMax),
       "target norm");
   const double tscale = tnorm.scale()[0];
   const double denorm = tscale > 0 ? 1.0 / (tscale * tscale) : 1.0;

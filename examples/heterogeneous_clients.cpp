@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "qens/data/air_quality_generator.h"
 #include "qens/data/normalizer.h"
@@ -64,15 +65,16 @@ void RunRegime(data::Heterogeneity regime, size_t num_stations) {
   // learning rates assume normalized data (the federation layer does this
   // automatically; here we probe stations directly). Probe losses below
   // are mapped back to raw PM2.5 units.
-  data::Dataset pooled = stations[0];
-  for (size_t s = 1; s < stations.size(); ++s) {
-    pooled = Die(pooled.Concat(stations[s]), "pool");
+  std::vector<const Matrix*> features, targets;
+  for (const auto& s : stations) {
+    features.push_back(&s.features());
+    targets.push_back(&s.targets());
   }
   const data::Normalizer fnorm = Die(
-      data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax),
+      data::Normalizer::FitParts(features, data::ScalingKind::kMinMax),
       "feature norm");
   const data::Normalizer tnorm = Die(
-      data::Normalizer::Fit(pooled.targets(), data::ScalingKind::kMinMax),
+      data::Normalizer::FitParts(targets, data::ScalingKind::kMinMax),
       "target norm");
   const double tscale = tnorm.scale()[0];
   const double denorm = tscale > 0 ? 1.0 / (tscale * tscale) : 1.0;

@@ -1,5 +1,6 @@
 #include "qens/data/normalizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qens/common/string_util.h"
@@ -7,36 +8,80 @@
 namespace qens::data {
 
 Result<Normalizer> Normalizer::Fit(const Matrix& data, ScalingKind kind) {
-  if (data.rows() == 0 || data.cols() == 0) {
+  return FitParts({&data}, kind);
+}
+
+Result<Normalizer> Normalizer::FitParts(
+    const std::vector<const Matrix*>& parts, ScalingKind kind) {
+  size_t d = 0;
+  size_t m = 0;
+  for (const Matrix* part : parts) {
+    if (part == nullptr) {
+      return Status::InvalidArgument("Normalizer::Fit: null part");
+    }
+    if (part->rows() == 0) continue;
+    if (m == 0) {
+      d = part->cols();
+    } else if (part->cols() != d) {
+      return Status::InvalidArgument(
+          StrFormat("Normalizer::Fit: part has %zu cols, expected %zu",
+                    part->cols(), d));
+    }
+    m += part->rows();
+  }
+  if (m == 0 || d == 0) {
     return Status::InvalidArgument("Normalizer::Fit: empty data");
   }
-  const size_t d = data.cols();
   std::vector<double> offset(d, 0.0);
   std::vector<double> scale(d, 0.0);
 
+  // Rows are visited in pooled order and every column keeps its own fold,
+  // so each column sees exactly the sequence a column-by-column scan of the
+  // stacked matrix would.
   if (kind == ScalingKind::kMinMax) {
-    for (size_t c = 0; c < d; ++c) {
-      double lo = data(0, c), hi = data(0, c);
-      for (size_t r = 1; r < data.rows(); ++r) {
-        lo = std::min(lo, data(r, c));
-        hi = std::max(hi, data(r, c));
+    std::vector<double> lo;
+    std::vector<double> hi;
+    for (const Matrix* part : parts) {
+      for (size_t r = 0; r < part->rows(); ++r) {
+        const double* p = part->RowPtr(r);
+        if (lo.empty()) {
+          lo.assign(p, p + d);
+          hi = lo;
+          continue;
+        }
+        for (size_t c = 0; c < d; ++c) {
+          lo[c] = std::min(lo[c], p[c]);
+          hi[c] = std::max(hi[c], p[c]);
+        }
       }
-      offset[c] = lo;
-      scale[c] = hi > lo ? 1.0 / (hi - lo) : 0.0;
+    }
+    for (size_t c = 0; c < d; ++c) {
+      offset[c] = lo[c];
+      scale[c] = hi[c] > lo[c] ? 1.0 / (hi[c] - lo[c]) : 0.0;
     }
   } else {
-    for (size_t c = 0; c < d; ++c) {
-      double mean = 0.0;
-      for (size_t r = 0; r < data.rows(); ++r) mean += data(r, c);
-      mean /= static_cast<double>(data.rows());
-      double var = 0.0;
-      for (size_t r = 0; r < data.rows(); ++r) {
-        const double dv = data(r, c) - mean;
-        var += dv * dv;
+    std::vector<double> mean(d, 0.0);
+    for (const Matrix* part : parts) {
+      for (size_t r = 0; r < part->rows(); ++r) {
+        const double* p = part->RowPtr(r);
+        for (size_t c = 0; c < d; ++c) mean[c] += p[c];
       }
-      var /= static_cast<double>(data.rows());
-      offset[c] = mean;
-      scale[c] = var > 0.0 ? 1.0 / std::sqrt(var) : 0.0;
+    }
+    for (size_t c = 0; c < d; ++c) mean[c] /= static_cast<double>(m);
+    std::vector<double> var(d, 0.0);
+    for (const Matrix* part : parts) {
+      for (size_t r = 0; r < part->rows(); ++r) {
+        const double* p = part->RowPtr(r);
+        for (size_t c = 0; c < d; ++c) {
+          const double dv = p[c] - mean[c];
+          var[c] += dv * dv;
+        }
+      }
+    }
+    for (size_t c = 0; c < d; ++c) {
+      var[c] /= static_cast<double>(m);
+      offset[c] = mean[c];
+      scale[c] = var[c] > 0.0 ? 1.0 / std::sqrt(var[c]) : 0.0;
     }
   }
   return Normalizer(kind, std::move(offset), std::move(scale));

@@ -26,6 +26,14 @@ class Normalizer {
   /// Fit on the columns of `data` (m >= 1 rows).
   static Result<Normalizer> Fit(const Matrix& data, ScalingKind kind);
 
+  /// Fit on the rows of `parts` stacked in order, without building the
+  /// stacked matrix: bit-identical to `Fit` on the pooled rows (every
+  /// column is folded in the same row order, so NaN rows and ties resolve
+  /// the same way). Parts with no rows are skipped; the rest must share
+  /// one width. Fails when every part is empty.
+  static Result<Normalizer> FitParts(const std::vector<const Matrix*>& parts,
+                                     ScalingKind kind);
+
   ScalingKind kind() const { return kind_; }
   size_t dims() const { return offset_.size(); }
 

@@ -83,38 +83,11 @@ Result<data::Dataset> DynamicFleet::QueryRegionTestData(
     const query::RangeQuery& query) const {
   QENS_ASSIGN_OR_RETURN(query::RangeQuery internal,
                         fleet_->InternalQuery(query));
-  std::optional<data::Dataset> pooled;
-  for (size_t i = 0; i < fleet_->test_shards.size(); ++i) {
-    const data::Dataset& shard = fleet_->test_shards[i];
-    std::optional<data::Dataset> shifted;
-    if (drifted_[i].has_value()) {
-      Matrix features = shard.features();
-      const size_t rows = shard.NumSamples();
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t d = 0; d < cum_offset_[i].size(); ++d) {
-          features(r, d) += cum_offset_[i][d];
-        }
-      }
-      QENS_ASSIGN_OR_RETURN(
-          shifted, data::Dataset::Create(std::move(features), shard.targets(),
-                                         shard.feature_names(),
-                                         shard.target_name()));
-    }
-    const data::Dataset& current = shifted.has_value() ? *shifted : shard;
-    QENS_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                          internal.MatchingRows(current.features()));
-    if (rows.empty()) continue;
-    QENS_ASSIGN_OR_RETURN(data::Dataset subset, current.SelectRows(rows));
-    if (!pooled.has_value()) {
-      pooled = std::move(subset);
-    } else {
-      QENS_ASSIGN_OR_RETURN(pooled.value(), pooled->Concat(subset));
-    }
+  std::vector<const std::vector<double>*> offsets(drifted_.size(), nullptr);
+  for (size_t i = 0; i < drifted_.size(); ++i) {
+    if (drifted_[i].has_value()) offsets[i] = &cum_offset_[i];
   }
-  if (!pooled.has_value()) {
-    return Status::NotFound("no test rows inside the query region");
-  }
-  return std::move(pooled.value());
+  return PoolRegionRows(fleet_->test_shards, internal, offsets);
 }
 
 Result<sim::EdgeNode*> DynamicFleet::MutableNode(size_t i) {

@@ -90,6 +90,17 @@ class DynamicFleet {
   Result<data::Dataset> QueryRegionTestData(
       const query::RangeQuery& query) const;
 
+  /// Whether node `node_id` has had a drift event in this session.
+  bool HasDrifted(size_t node_id) const {
+    return drifted_[node_id].has_value();
+  }
+
+  /// Node `node_id`'s accumulated drift offset, one entry per feature
+  /// (all zero until its first drift event).
+  const std::vector<double>& cumulative_offset(size_t node_id) const {
+    return cum_offset_[node_id];
+  }
+
   /// Rounds BeginRound has executed.
   size_t rounds_started() const { return round_; }
 

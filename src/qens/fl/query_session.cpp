@@ -64,18 +64,22 @@ Result<std::shared_ptr<Fleet>> Fleet::Create(
   std::optional<data::Normalizer> feature_norm;
   std::optional<data::Normalizer> target_norm;
   if (options.normalize) {
-    // Pool features/targets to fit the global bounds (numerically equal to
-    // the hull of per-node bounds for min-max scaling).
-    data::Dataset pooled = train_shards[0];
-    for (size_t i = 1; i < train_shards.size(); ++i) {
-      QENS_ASSIGN_OR_RETURN(pooled, pooled.Concat(train_shards[i]));
+    // Fit the global bounds over every train shard in node order
+    // (numerically equal to the hull of per-node bounds for min-max scaling).
+    std::vector<const Matrix*> features;
+    std::vector<const Matrix*> targets;
+    features.reserve(train_shards.size());
+    targets.reserve(train_shards.size());
+    for (const auto& shard : train_shards) {
+      features.push_back(&shard.features());
+      targets.push_back(&shard.targets());
     }
     QENS_ASSIGN_OR_RETURN(
         data::Normalizer fn,
-        data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax));
+        data::Normalizer::FitParts(features, data::ScalingKind::kMinMax));
     QENS_ASSIGN_OR_RETURN(
         data::Normalizer tn,
-        data::Normalizer::Fit(pooled.targets(), data::ScalingKind::kMinMax));
+        data::Normalizer::FitParts(targets, data::ScalingKind::kMinMax));
     feature_norm = std::move(fn);
     target_norm = std::move(tn);
 
@@ -146,22 +150,74 @@ double Fleet::DenormalizeMse(double mse) const {
 Result<data::Dataset> Fleet::QueryRegionTestData(
     const query::RangeQuery& query) const {
   QENS_ASSIGN_OR_RETURN(query::RangeQuery internal, InternalQuery(query));
-  std::optional<data::Dataset> pooled;
-  for (const auto& shard : test_shards) {
-    QENS_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                          internal.MatchingRows(shard.features()));
-    if (rows.empty()) continue;
-    QENS_ASSIGN_OR_RETURN(data::Dataset subset, shard.SelectRows(rows));
-    if (!pooled.has_value()) {
-      pooled = std::move(subset);
-    } else {
-      QENS_ASSIGN_OR_RETURN(pooled.value(), pooled->Concat(subset));
-    }
+  return PoolRegionRows(test_shards, internal);
+}
+
+Result<data::Dataset> PoolRegionRows(
+    const std::vector<data::Dataset>& shards, const query::RangeQuery& query,
+    const std::vector<const std::vector<double>*>& offsets) {
+  const query::HyperRectangle& region = query.region;
+  const size_t dims = region.dims();
+  if (!offsets.empty() && offsets.size() != shards.size()) {
+    return Status::InvalidArgument(
+        StrFormat("PoolRegionRows: %zu offsets for %zu shards",
+                  offsets.size(), shards.size()));
   }
-  if (!pooled.has_value()) {
+
+  // Pass 1: the matching rows of every shard, shard after shard; shard i's
+  // matches are rows[ends[i - 1], ends[i]).
+  std::vector<size_t> rows;
+  std::vector<size_t> ends(shards.size(), 0);
+  const data::Dataset* first = nullptr;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const Matrix& x = shards[i].features();
+    if (x.cols() != dims) {
+      return Status::InvalidArgument(
+          StrFormat("MatchingRows: query has %zu dims, data has %zu features",
+                    dims, x.cols()));
+    }
+    const std::vector<double>* shift = offsets.empty() ? nullptr : offsets[i];
+    if (shift != nullptr && shift->size() != dims) {
+      return Status::InvalidArgument(
+          StrFormat("PoolRegionRows: shard %zu has %zu offsets for %zu dims",
+                    i, shift->size(), dims));
+    }
+    const size_t before = rows.size();
+    for (size_t r = 0; r < x.rows(); ++r) {
+      const double* p = x.RowPtr(r);
+      bool inside = true;
+      for (size_t d = 0; d < dims && inside; ++d) {
+        const double v = shift != nullptr ? p[d] + (*shift)[d] : p[d];
+        inside = region.dim(d).Contains(v);
+      }
+      if (inside) rows.push_back(r);
+    }
+    if (first == nullptr && rows.size() > before) first = &shards[i];
+    ends[i] = rows.size();
+  }
+  if (rows.empty()) {
     return Status::NotFound("no test rows inside the query region");
   }
-  return std::move(pooled.value());
+
+  // Pass 2: copy the matches into the one output allocation.
+  Matrix features(rows.size(), dims);
+  Matrix targets(rows.size(), 1);
+  size_t out = 0;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const Matrix& x = shards[i].features();
+    const Matrix& y = shards[i].targets();
+    const std::vector<double>* shift = offsets.empty() ? nullptr : offsets[i];
+    for (; out < ends[i]; ++out) {
+      const double* p = x.RowPtr(rows[out]);
+      double* q = features.RowPtr(out);
+      for (size_t d = 0; d < dims; ++d) {
+        q[d] = shift != nullptr ? p[d] + (*shift)[d] : p[d];
+      }
+      targets(out, 0) = y(rows[out], 0);
+    }
+  }
+  return data::Dataset::Create(std::move(features), std::move(targets),
+                               first->feature_names(), first->target_name());
 }
 
 Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,

@@ -93,6 +93,17 @@ struct Fleet {
       const query::RangeQuery& query) const;
 };
 
+/// The held-out rows of `shards` inside `query`'s closed region, pooled in
+/// shard order and then row order, with the first contributing shard's
+/// column names. `offsets`, when non-empty, has one entry per shard: a
+/// non-null entry shifts that shard's features by it, read as x + offset[d]
+/// per value, both for the region test and in the output (a drifted node's
+/// current data). One matching pass per shard and one output allocation.
+/// `query` is in the shards' units. NotFound when no row matches.
+Result<data::Dataset> PoolRegionRows(
+    const std::vector<data::Dataset>& shards, const query::RangeQuery& query,
+    const std::vector<const std::vector<double>*>& offsets = {});
+
 /// Session construction knobs.
 struct QuerySessionOptions {
   /// Tags this session's RoundRecords; 0 is the sequential Federation API.

@@ -5,8 +5,9 @@ A header is self-contained when a translation unit consisting of nothing
 but `#include "qens/<module>/<name>.h"` compiles. Headers that silently
 lean on what a previous include dragged in break consumers that include
 them first — and break refactors that reorder includes. This tool
-compiles each header under src/qens/**/ with `-fsyntax-only` and reports
-every failure.
+compiles each header under src/qens/**/ with `-fsyntax-only`, one stub
+file per header and `os.cpu_count()` compiles at a time, and reports
+every failure in sorted header order.
 
 Usage:
     tools/check_header_selfcontainment.py [--compiler g++] [--src src]
@@ -16,6 +17,8 @@ tier-1 ctest `header_selfcontainment` and run by CI.
 """
 
 import argparse
+import concurrent.futures
+import os
 import pathlib
 import subprocess
 import sys
@@ -29,7 +32,8 @@ def find_headers(src: pathlib.Path) -> list[pathlib.Path]:
 def check_header(compiler: str, src: pathlib.Path, header: pathlib.Path,
                  workdir: pathlib.Path) -> "subprocess.CompletedProcess[str]":
     rel = header.relative_to(src)
-    stub = workdir / "stub.cpp"
+    stub_name = rel.with_suffix("").as_posix().replace("/", "__")
+    stub = workdir / f"{stub_name}.cpp"
     stub.write_text(f'#include "{rel.as_posix()}"\n')
     return subprocess.run(
         [compiler, "-std=c++20", "-fsyntax-only", "-I", str(src), str(stub)],
@@ -52,13 +56,16 @@ def main() -> int:
         print(f"error: no headers found under {src}/qens", file=sys.stderr)
         return 1
 
-    failures = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        for header in headers:
-            result = check_header(args.compiler, src, header, workdir)
-            if result.returncode != 0:
-                failures.append((header.relative_to(src), result.stderr))
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(
+                lambda h: check_header(args.compiler, src, h, workdir),
+                headers))
+    failures = [(header.relative_to(src), result.stderr)
+                for header, result in zip(headers, results)
+                if result.returncode != 0]
 
     if failures:
         for rel, stderr in failures:
