@@ -327,15 +327,25 @@ void BenchTrainStep(BenchJson* json) {
   const Matrix yb = RandomMatrix(kBatch, 1, &rng);
 
   // One step each way, then assert every gradient is bitwise identical.
+  // The fused step is the trainer's: forward into the model's output
+  // buffer, fused loss + gradient into reused scratch, backward into the
+  // model-owned gradients (layer 0's input gradient skipped).
   NaiveCache cache;
+  Matrix grad_fused;
   {
     Matrix pred_naive = NaiveForward(naive_model, xb, &cache);
     Matrix grad =
         ValueOrDie(ml::ComputeLossGrad(hp.loss, pred_naive, yb), "dL");
     auto grads_naive = NaiveBackward(naive_model, grad, cache);
-    Matrix pred_fused = ValueOrDie(fused_model.Forward(xb), "fwd");
+    const Matrix& pred_fused = ValueOrDie(fused_model.Forward(xb), "fwd");
     RequireBitIdentical(pred_naive.data(), pred_fused.data(), "pred differs");
-    auto grads_fused = ValueOrDie(fused_model.Backward(grad), "bwd");
+    CheckOk(ml::ComputeLossAndGrad(hp.loss, pred_fused, yb, &grad_fused)
+                .status(),
+            "fused dL");
+    RequireBitIdentical(grad.data(), grad_fused.data(), "dL differs");
+    CheckOk(fused_model.Backward(grad_fused), "bwd");
+    const std::vector<ml::DenseGradients>& grads_fused =
+        fused_model.gradients();
     if (grads_naive.size() != grads_fused.size()) Die("grad count");
     for (size_t i = 0; i < grads_naive.size(); ++i) {
       RequireBitIdentical(grads_naive[i].d_weights.data(),
@@ -357,10 +367,11 @@ void BenchTrainStep(BenchJson* json) {
   const double naive_s = Seconds(naive_watch);
   Stopwatch fused_watch;
   for (double r = 0; r < reps; ++r) {
-    Matrix pred = ValueOrDie(fused_model.Forward(xb), "fwd");
-    Matrix grad = ValueOrDie(ml::ComputeLossGrad(hp.loss, pred, yb), "dL");
-    auto grads = ValueOrDie(fused_model.Backward(grad), "bwd");
-    sink += grads[0].d_weights(0, 0);
+    const Matrix& pred = ValueOrDie(fused_model.Forward(xb), "fwd");
+    CheckOk(ml::ComputeLossAndGrad(hp.loss, pred, yb, &grad_fused).status(),
+            "dL");
+    CheckOk(fused_model.Backward(grad_fused), "bwd");
+    sink += fused_model.gradients()[0].d_weights(0, 0);
   }
   const double fused_s = Seconds(fused_watch);
   json->Add(SpeedupRecord("train_step_mlp", "step", naive_s, fused_s, reps));

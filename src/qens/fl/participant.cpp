@@ -42,6 +42,15 @@ Matrix MirrorTargets(const Matrix& y) {
   return flipped;
 }
 
+/// The targets a local fit trains on: `y` itself, or — for a label-poisoning
+/// attacker — its mirror, built into `mirrored` only in that case.
+const Matrix& FitTargets(const Matrix& y, bool poison_labels,
+                         Matrix* mirrored) {
+  if (!poison_labels) return y;
+  *mirrored = MirrorTargets(y);
+  return *mirrored;
+}
+
 }  // namespace
 
 Result<LocalTrainResult> TrainOnSupportingClusters(
@@ -70,9 +79,9 @@ Result<LocalTrainResult> TrainOnSupportingClusters(
   for (size_t cluster_id : supporting_clusters) {
     QENS_ASSIGN_OR_RETURN(data::Dataset cluster_data,
                           node.ClusterData(cluster_id));
-    const Matrix targets = options.poison_labels
-                               ? MirrorTargets(cluster_data.targets())
-                               : cluster_data.targets();
+    Matrix mirrored;
+    const Matrix& targets = FitTargets(cluster_data.targets(),
+                                       options.poison_labels, &mirrored);
     QENS_ASSIGN_OR_RETURN(
         ml::TrainReport report,
         trainer->Fit(&result.model, cluster_data.features(), targets));
@@ -100,9 +109,9 @@ Result<LocalTrainResult> TrainOnFullData(const sim::EdgeNode& node,
       std::unique_ptr<ml::Trainer> trainer,
       LocalTrainer(options.hyper, options.hyper.epochs, options, node));
   const data::Dataset& local = node.local_data();
-  const Matrix targets = options.poison_labels
-                             ? MirrorTargets(local.targets())
-                             : local.targets();
+  Matrix mirrored;
+  const Matrix& targets =
+      FitTargets(local.targets(), options.poison_labels, &mirrored);
   QENS_ASSIGN_OR_RETURN(
       ml::TrainReport report,
       trainer->Fit(&result.model, local.features(), targets));

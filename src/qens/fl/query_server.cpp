@@ -46,7 +46,6 @@ SessionResult QueryServer::RunSession(const SessionSpec& spec,
   session_options.seed =
       SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id,
                   fleet_->options.splittable_rng);
-  session_options.network.record_messages = options_.record_session_messages;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);
   if (!session_or.ok()) {
@@ -92,7 +91,6 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
   session_options.seed =
       SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id,
                   fleet_->options.splittable_rng);
-  session_options.network.record_messages = options_.record_session_messages;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);
   if (!session_or.ok()) {

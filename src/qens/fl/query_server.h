@@ -82,10 +82,6 @@ struct ServingOptions {
   /// Base seed the per-session seeds derive from. Unset = the fleet's
   /// FederationOptions::seed.
   std::optional<uint64_t> seed;
-  /// Keep per-message logs in the session-private networks (the counters
-  /// are always kept). Off by default: a serving workload only needs the
-  /// totals, and the logs grow per transfer.
-  bool record_session_messages = false;
   /// Elastic session scheduling (requires num_workers > 1 and a fleet with
   /// FederationOptions::splittable_rng): sessions are claimed dynamically
   /// (work-stealing) instead of queued one task per session, so mixed

@@ -257,7 +257,7 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   sim::Network* network = shared_network;
   if (network == nullptr) {
     own_network = std::make_unique<sim::Network>(
-        sim::CostModel(fopts.environment.cost), options.network);
+        sim::CostModel(fopts.environment.cost));
     network = own_network.get();
   }
 

@@ -111,9 +111,6 @@ struct QuerySessionOptions {
   /// Seed all the session's RNG streams derive from. Unset = the fleet's
   /// FederationOptions::seed (the historical sequential behavior).
   std::optional<uint64_t> seed;
-  /// Accounting options for the session-private network (ignored when a
-  /// shared network is supplied).
-  sim::NetworkOptions network;
 };
 
 /// One independent query stream over a shared fleet.

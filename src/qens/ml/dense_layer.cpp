@@ -33,24 +33,22 @@ Result<Matrix> DenseLayer::Apply(const Matrix& x) const {
   return z;
 }
 
-Result<Matrix> DenseLayer::Forward(const Matrix& x, bool cache) {
-  if (!cache) return Apply(x);
+Status DenseLayer::Forward(const Matrix& x, Matrix* y) {
   if (x.cols() != in_features_) {
     return Status::InvalidArgument(
         StrFormat("DenseLayer::Forward: input has %zu features, expected %zu",
                   x.cols(), in_features_));
   }
   QENS_RETURN_NOT_OK(x.MatMulAddBiasInto(weights_, bias_, &cached_pre_));
-  cached_input_ = &x;  // Zero-copy: the caller keeps x alive for Backward.
-  has_cache_ = true;
-  Matrix y;
-  ApplyActivation(activation_, cached_pre_, &y);
-  return y;
+  cached_input_.set(&x);  // Zero-copy: the caller keeps x alive.
+  ApplyActivation(activation_, cached_pre_, y);
+  return Status::OK();
 }
 
-Result<Matrix> DenseLayer::Backward(const Matrix& grad_out,
-                                    DenseGradients* grads) {
-  if (!has_cache_ || cached_input_ == nullptr) {
+Status DenseLayer::Backward(const Matrix& grad_out, DenseGradients* grads,
+                            Matrix* dx) {
+  const Matrix* input = cached_input_.get();
+  if (input == nullptr) {
     return Status::FailedPrecondition(
         "DenseLayer::Backward called without a cached Forward");
   }
@@ -62,13 +60,13 @@ Result<Matrix> DenseLayer::Backward(const Matrix& grad_out,
   ApplyActivationGrad(activation_, cached_pre_, &dz_scratch_);
   QENS_RETURN_NOT_OK(dz_scratch_.HadamardInPlace(grad_out));
   // dW = Xᵀ dZ ; db = column sums of dZ ; dX = dZ Wᵀ — both GEMMs via the
-  // fused kernels, so no transposed copy of X or W is ever built.
+  // fused kernels, so no transposed copy of X or W is ever built. Every
+  // output reuses its buffer's allocation.
   QENS_RETURN_NOT_OK(
-      cached_input_->MatMulTransposedAInto(dz_scratch_, &grads->d_weights));
-  grads->d_bias = dz_scratch_.ColSums();
-  Matrix dx;
-  QENS_RETURN_NOT_OK(dz_scratch_.MatMulTransposedBInto(weights_, &dx));
-  return dx;
+      input->MatMulTransposedAInto(dz_scratch_, &grads->d_weights));
+  dz_scratch_.ColSumsInto(&grads->d_bias);
+  if (dx == nullptr) return Status::OK();
+  return dz_scratch_.MatMulTransposedBInto(weights_, dx);
 }
 
 Status DenseLayer::ApplyDelta(double alpha, const DenseGradients& delta) {

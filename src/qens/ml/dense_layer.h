@@ -42,20 +42,21 @@ class DenseLayer {
   /// layer mutation. Fails if x.cols() != in_features().
   Result<Matrix> Apply(const Matrix& x) const;
 
-  /// Forward pass. When `cache` is true, stores a VIEW of the input (a
-  /// pointer — zero-copy) plus the pre-activation for a subsequent Backward;
-  /// the caller must keep `x` alive and unmodified until Backward runs
+  /// Training forward pass into caller-owned `y` (resized, reusing its
+  /// allocation; must not alias `x`). Stores a VIEW of the input (a pointer
+  /// — zero-copy) plus the pre-activation for a subsequent Backward; the
+  /// caller must keep `x` alive and unmodified until Backward runs
   /// (SequentialModel owns the inter-layer activations for exactly this).
-  /// Fails if x.cols() != in_features().
-  Result<Matrix> Forward(const Matrix& x, bool cache);
+  /// Bit-identical to Apply. Fails if x.cols() != in_features().
+  Status Forward(const Matrix& x, Matrix* y);
 
-  /// Backward pass given dL/dY (`grad_out`, batch x out). Returns parameter
-  /// gradients via `grads` and dL/dX as the function result. Computes
-  /// Xᵀ·dZ and dZ·Wᵀ through the fused transposed-operand kernels — no
-  /// transpose is ever materialized.
-  /// Requires a prior Forward(x, /*cache=*/true) on the same batch, with
-  /// that x still alive.
-  Result<Matrix> Backward(const Matrix& grad_out, DenseGradients* grads);
+  /// Backward pass given dL/dY (`grad_out`, batch x out). Writes parameter
+  /// gradients into `grads` and dL/dX into `dx`, both reusing their
+  /// allocations; a null `dx` skips the input gradient (the first layer's
+  /// is never needed). Computes Xᵀ·dZ and dZ·Wᵀ through the fused
+  /// transposed-operand kernels — no transpose is ever materialized.
+  /// Requires a prior Forward on the same batch, with that x still alive.
+  Status Backward(const Matrix& grad_out, DenseGradients* grads, Matrix* dx);
 
   /// Apply a parameter delta: W += alpha * dW, b += alpha * db.
   Status ApplyDelta(double alpha, const DenseGradients& delta);
@@ -81,15 +82,32 @@ class DenseLayer {
   Matrix weights_;            // (in x out)
   std::vector<double> bias_;  // (out)
 
-  // Cached by Forward(cache=true) for Backward. The input is held by
-  // pointer (zero-copy); it is only dereferenced inside Backward, and the
+  /// The input view Forward caches for Backward. A copied or moved layer
+  /// starts without one: the view points at buffers the source's owner
+  /// keeps, so a copy's Backward must fail until its own Forward runs.
+  class InputView {
+   public:
+    InputView() = default;
+    InputView(const InputView&) {}
+    InputView& operator=(const InputView&) {
+      input_ = nullptr;
+      return *this;
+    }
+    const Matrix* get() const { return input_; }
+    void set(const Matrix* input) { input_ = input; }
+
+   private:
+    const Matrix* input_ = nullptr;
+  };
+
+  // Cached by Forward for Backward. The input is held by pointer
+  // (zero-copy); it is only dereferenced inside Backward, and the
   // Forward/Backward contract guarantees it is still alive there. The
   // pre-activation and the dZ scratch are layer-owned buffers whose
   // allocations are reused across batches.
-  bool has_cache_ = false;
-  const Matrix* cached_input_ = nullptr;  // (batch x in), caller-owned
-  Matrix cached_pre_;                     // (batch x out), pre-activation Z
-  Matrix dz_scratch_;                     // (batch x out), f'(Z) then dZ
+  InputView cached_input_;  // (batch x in), caller-owned
+  Matrix cached_pre_;       // (batch x out), pre-activation Z
+  Matrix dz_scratch_;       // (batch x out), f'(Z) then dZ
 };
 
 }  // namespace qens::ml

@@ -29,6 +29,13 @@ Result<LossKind> ParseLoss(const std::string& name);
 Result<double> ComputeLoss(LossKind kind, const Matrix& pred,
                            const Matrix& target);
 
+/// Loss and dL/dpred in one pass: returns what ComputeLoss returns and
+/// writes the gradient (same shape as pred) into `grad`, reusing its
+/// allocation. Bit-identical to ComputeLoss followed by ComputeLossGrad.
+/// Fails on shape mismatch or empty inputs.
+Result<double> ComputeLossAndGrad(LossKind kind, const Matrix& pred,
+                                  const Matrix& target, Matrix* grad);
+
 /// dL/dpred for the averaged loss, same shape as pred.
 /// Fails on shape mismatch or empty inputs.
 Result<Matrix> ComputeLossGrad(LossKind kind, const Matrix& pred,

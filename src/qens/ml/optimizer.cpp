@@ -7,22 +7,6 @@
 namespace qens::ml {
 namespace {
 
-/// Flatten one layer's gradients (row-major weights then bias) into `out`.
-void FlattenGrads(const DenseGradients& g, std::vector<double>* out) {
-  out->clear();
-  out->reserve(g.d_weights.size() + g.d_bias.size());
-  out->insert(out->end(), g.d_weights.data().begin(), g.d_weights.data().end());
-  out->insert(out->end(), g.d_bias.begin(), g.d_bias.end());
-}
-
-/// Apply a flat delta (same layout as FlattenGrads) to a layer's parameters.
-void ApplyFlatDelta(DenseLayer* layer, const std::vector<double>& delta) {
-  auto& w = layer->weights().data();
-  for (size_t i = 0; i < w.size(); ++i) w[i] += delta[i];
-  auto& b = layer->bias();
-  for (size_t i = 0; i < b.size(); ++i) b[i] += delta[w.size() + i];
-}
-
 Status CheckGrads(const SequentialModel& model,
                   const std::vector<DenseGradients>& grads) {
   if (grads.size() != model.num_layers()) {
@@ -51,15 +35,27 @@ Status SgdOptimizer::Step(SequentialModel* model,
   if (velocity_.size() != grads.size()) {
     velocity_.assign(grads.size(), {});
   }
-  std::vector<double> flat;
+  // In place, weights then bias: velocity_[li] keeps that flat layout, and
+  // each parameter gets v = momentum * v - lr * g, then p += v.
   for (size_t li = 0; li < grads.size(); ++li) {
-    FlattenGrads(grads[li], &flat);
+    DenseLayer& layer = model->layer(li);
+    const std::vector<double>& gw = grads[li].d_weights.data();
+    const std::vector<double>& gb = grads[li].d_bias;
     auto& vel = velocity_[li];
-    if (vel.size() != flat.size()) vel.assign(flat.size(), 0.0);
-    for (size_t i = 0; i < flat.size(); ++i) {
-      vel[i] = momentum_ * vel[i] - learning_rate_ * flat[i];
+    if (vel.size() != gw.size() + gb.size()) {
+      vel.assign(gw.size() + gb.size(), 0.0);
     }
-    ApplyFlatDelta(&model->layer(li), vel);
+    double* w = layer.weights().data().data();
+    for (size_t i = 0; i < gw.size(); ++i) {
+      vel[i] = momentum_ * vel[i] - learning_rate_ * gw[i];
+      w[i] += vel[i];
+    }
+    double* b = layer.bias().data();
+    double* vb = vel.data() + gw.size();
+    for (size_t i = 0; i < gb.size(); ++i) {
+      vb[i] = momentum_ * vb[i] - learning_rate_ * gb[i];
+      b[i] += vb[i];
+    }
   }
   return Status::OK();
 }
@@ -84,25 +80,32 @@ Status AdamOptimizer::Step(SequentialModel* model,
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  std::vector<double> flat;
-  std::vector<double> delta;
+  // One parameter: update its two moments and step it in place. m_[li]
+  // and v_[li] keep the layer's flat weights-then-bias layout.
+  auto update = [&](double g, double* param, double* m, double* v) {
+    *m = beta1_ * *m + (1.0 - beta1_) * g;
+    *v = beta2_ * *v + (1.0 - beta2_) * g * g;
+    const double mhat = *m / bc1;
+    const double vhat = *v / bc2;
+    *param += -learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
+  };
   for (size_t li = 0; li < grads.size(); ++li) {
-    FlattenGrads(grads[li], &flat);
+    DenseLayer& layer = model->layer(li);
+    const std::vector<double>& gw = grads[li].d_weights.data();
+    const std::vector<double>& gb = grads[li].d_bias;
     auto& m = m_[li];
     auto& v = v_[li];
-    if (m.size() != flat.size()) {
-      m.assign(flat.size(), 0.0);
-      v.assign(flat.size(), 0.0);
+    if (m.size() != gw.size() + gb.size()) {
+      m.assign(gw.size() + gb.size(), 0.0);
+      v.assign(gw.size() + gb.size(), 0.0);
     }
-    delta.resize(flat.size());
-    for (size_t i = 0; i < flat.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0 - beta1_) * flat[i];
-      v[i] = beta2_ * v[i] + (1.0 - beta2_) * flat[i] * flat[i];
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      delta[i] = -learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
+    double* w = layer.weights().data().data();
+    for (size_t i = 0; i < gw.size(); ++i) update(gw[i], &w[i], &m[i], &v[i]);
+    double* b = layer.bias().data();
+    const size_t off = gw.size();
+    for (size_t i = 0; i < gb.size(); ++i) {
+      update(gb[i], &b[i], &m[off + i], &v[off + i]);
     }
-    ApplyFlatDelta(&model->layer(li), delta);
   }
   return Status::OK();
 }

@@ -20,8 +20,10 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Apply one update step. `grads` must have one entry per model layer with
-  /// matching shapes (as produced by SequentialModel::Backward).
+  /// Apply one update step to the model's weights and biases in place (no
+  /// flat copy, no allocation in steady state). `grads` must have one
+  /// entry per model layer with matching shapes (as
+  /// SequentialModel::gradients() holds after Backward).
   virtual Status Step(SequentialModel* model,
                       const std::vector<DenseGradients>& grads) = 0;
 

@@ -43,36 +43,41 @@ Result<Matrix> SequentialModel::Predict(const Matrix& x) const {
   return cur;
 }
 
-Result<Matrix> SequentialModel::Forward(const Matrix& x) {
+Result<std::reference_wrapper<const Matrix>> SequentialModel::Forward(
+    const Matrix& x) {
   if (layers_.empty()) {
     return Status::FailedPrecondition("Forward: model has no layers");
   }
-  // Each layer caches a pointer to its input, so the model must keep every
-  // inter-layer activation alive until Backward. The final output is not
-  // needed by Backward (layers cache the pre-activation) and is returned.
-  if (activations_.size() != layers_.size() - 1) {
-    activations_.resize(layers_.size() - 1);
+  // Each layer caches a pointer to its input, so the model keeps every
+  // layer's output alive until Backward; the last one is the prediction.
+  if (activations_.size() != layers_.size()) {
+    activations_.resize(layers_.size());
   }
   const Matrix* cur = &x;
-  for (size_t i = 0;; ++i) {
-    QENS_ASSIGN_OR_RETURN(Matrix y, layers_[i].Forward(*cur, /*cache=*/true));
-    if (i + 1 == layers_.size()) return y;
-    activations_[i] = std::move(y);
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    QENS_RETURN_NOT_OK(layers_[i].Forward(*cur, &activations_[i]));
     cur = &activations_[i];
   }
+  return std::cref(*cur);
 }
 
-Result<std::vector<DenseGradients>> SequentialModel::Backward(
-    const Matrix& grad_out) {
+Status SequentialModel::Backward(const Matrix& grad_out) {
   if (layers_.empty()) {
     return Status::FailedPrecondition("Backward: model has no layers");
   }
-  std::vector<DenseGradients> grads(layers_.size());
-  Matrix cur = grad_out;
-  for (size_t i = layers_.size(); i-- > 0;) {
-    QENS_ASSIGN_OR_RETURN(cur, layers_[i].Backward(cur, &grads[i]));
+  if (gradients_.size() != layers_.size()) {
+    gradients_.resize(layers_.size());
+    input_grads_.resize(layers_.size() - 1);
   }
-  return grads;
+  // input_grads_[i] is dL/d(output of layer i), produced by layer i + 1.
+  // Layer 0's input gradient is never needed, so it is not computed.
+  const Matrix* cur = &grad_out;
+  for (size_t i = layers_.size(); i-- > 0;) {
+    Matrix* dx = i == 0 ? nullptr : &input_grads_[i - 1];
+    QENS_RETURN_NOT_OK(layers_[i].Backward(*cur, &gradients_[i], dx));
+    cur = dx;
+  }
+  return Status::OK();
 }
 
 size_t SequentialModel::ParameterCount() const {

@@ -7,6 +7,7 @@
 /// Table III). Exposes flat parameter access for serialization (the leader /
 /// participant exchange) and parameter-space aggregation (FedAvg extension).
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,14 +42,20 @@ class SequentialModel {
   /// allocation-light: no layer state is touched.
   Result<Matrix> Predict(const Matrix& x) const;
 
-  /// Forward pass with caching for TrainBatch (internal use). The model
-  /// keeps the inter-layer activations alive, and each layer caches a
-  /// zero-copy view of its input; `x` itself must stay alive and unmodified
-  /// until the matching Backward.
-  Result<Matrix> Forward(const Matrix& x);
+  /// Training forward pass with caching for Backward. Returns the model's
+  /// output, held in a model-owned buffer that stays valid until the next
+  /// Forward. Each layer caches a zero-copy view of its input; `x` itself
+  /// must stay alive and unmodified until the matching Backward. Steady
+  /// state (repeated batch shapes) allocates nothing.
+  Result<std::reference_wrapper<const Matrix>> Forward(const Matrix& x);
 
-  /// Backprop dL/dOutput through all layers; fills per-layer gradients.
-  Result<std::vector<DenseGradients>> Backward(const Matrix& grad_out);
+  /// Backprop dL/dOutput through all layers into the model-owned
+  /// gradients(), reusing their allocations. Requires a prior Forward.
+  Status Backward(const Matrix& grad_out);
+
+  /// Per-layer gradients from the last Backward (one entry per layer).
+  const std::vector<DenseGradients>& gradients() const { return gradients_; }
+  std::vector<DenseGradients>* mutable_gradients() { return &gradients_; }
 
   /// Total scalar parameter count across layers.
   size_t ParameterCount() const;
@@ -68,12 +75,15 @@ class SequentialModel {
 
  private:
   std::vector<DenseLayer> layers_;
-  /// Inter-layer activations from the last caching Forward: activations_[i]
-  /// is the output of layer i and the input layer i+1 holds a view of. Kept
-  /// alive between Forward and Backward for the zero-copy backward pass;
-  /// buffers are reused across batches. A copied model must run its own
-  /// Forward before Backward (training always does).
+  /// Training buffers, reused across batches. activations_[i] is the
+  /// output of layer i from the last Forward (the input layer i+1 holds a
+  /// view of; the last one is the model output). gradients_[i] holds layer
+  /// i's parameter gradients and input_grads_[i] dL/d activations_[i] from
+  /// the last Backward. A copied model must run its own Forward before
+  /// Backward (training always does); until then its Backward fails.
   std::vector<Matrix> activations_;
+  std::vector<DenseGradients> gradients_;
+  std::vector<Matrix> input_grads_;
 };
 
 }  // namespace qens::ml

@@ -19,11 +19,13 @@ Trainer::Trainer(std::unique_ptr<Optimizer> optimizer, TrainOptions options)
 
 Result<double> Trainer::TrainBatch(SequentialModel* model, const Matrix& x,
                                    const Matrix& y) {
-  QENS_ASSIGN_OR_RETURN(Matrix pred, model->Forward(x));
-  QENS_ASSIGN_OR_RETURN(double loss, ComputeLoss(options_.loss, pred, y));
-  QENS_ASSIGN_OR_RETURN(Matrix grad, ComputeLossGrad(options_.loss, pred, y));
-  QENS_ASSIGN_OR_RETURN(std::vector<DenseGradients> grads,
-                        model->Backward(grad));
+  // Every buffer below is model- or trainer-owned and keeps its allocation
+  // across batches: a steady-state step never touches the heap.
+  QENS_ASSIGN_OR_RETURN(const Matrix& pred, model->Forward(x));
+  QENS_ASSIGN_OR_RETURN(
+      double loss, ComputeLossAndGrad(options_.loss, pred, y, &loss_grad_));
+  QENS_RETURN_NOT_OK(model->Backward(loss_grad_));
+  std::vector<DenseGradients>& grads = *model->mutable_gradients();
 
   // L2 weight decay on weights (not biases).
   if (options_.weight_decay > 0.0) {
@@ -114,6 +116,8 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   QENS_ASSIGN_OR_RETURN(Matrix y_val, y.SelectRows(val_idx));
 
   TrainReport report;
+  report.train_loss.reserve(options_.epochs);
+  if (n_val > 0) report.val_loss.reserve(options_.epochs);
   double best_val = 0.0;
   size_t bad_epochs = 0;
   const double base_lr = optimizer_->learning_rate();
@@ -121,7 +125,8 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   // Batch scratch hoisted out of the epoch loop: the index buffer and the
   // (xb, yb) slices keep their allocations across every batch of every
   // epoch (batch shapes repeat, so SelectRowsInto never reallocates in
-  // steady state). TrainBatch caches a view of xb, which stays alive here.
+  // steady state). TrainBatch caches a view of xb, which stays alive here;
+  // the validation pass caches one of x_val, which does too.
   std::vector<size_t> batch;
   batch.reserve(options_.batch_size);
   Matrix xb, yb;
@@ -160,7 +165,9 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
     ++report.epochs_run;
 
     if (n_val > 0) {
-      QENS_ASSIGN_OR_RETURN(Matrix pv, model->Predict(x_val));
+      // The training forward pass computes exactly what Predict does, into
+      // the model's reused buffers instead of a fresh matrix per epoch.
+      QENS_ASSIGN_OR_RETURN(const Matrix& pv, model->Forward(x_val));
       QENS_ASSIGN_OR_RETURN(double vl, ComputeLoss(options_.loss, pv, y_val));
       report.val_loss.push_back(vl);
 

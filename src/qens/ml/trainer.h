@@ -86,13 +86,15 @@ class Trainer {
                           const Matrix& y);
 
   /// One gradient step on a single batch (no split/shuffle). Returns the
-  /// batch loss before the update.
+  /// batch loss before the update. Allocation-free once the model's and the
+  /// trainer's buffers have seen the batch shape.
   Result<double> TrainBatch(SequentialModel* model, const Matrix& x,
                             const Matrix& y);
 
  private:
   std::unique_ptr<Optimizer> optimizer_;
   TrainOptions options_;
+  Matrix loss_grad_;  ///< dL/dpred scratch, reused across batches.
 };
 
 }  // namespace qens::ml

@@ -24,8 +24,6 @@ struct EnvironmentOptions {
   /// Per-node k-means quantization (paper: K = 5).
   clustering::KMeansOptions kmeans;
   CostModelOptions cost;
-  /// Accounting options for the environment-owned network.
-  NetworkOptions network;
   /// Relative capacities; cycled when fewer entries than nodes. Empty means
   /// all nodes at capacity 1.0.
   std::vector<double> capacities;

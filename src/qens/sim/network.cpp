@@ -2,11 +2,9 @@
 
 namespace qens::sim {
 
-double Network::Send(size_t from, size_t to, size_t bytes, std::string tag) {
+double Network::Send(size_t /*from*/, size_t /*to*/, size_t bytes,
+                     std::string tag) {
   bytes_by_tag_[tag] += bytes;
-  if (options_.record_messages) {
-    messages_.push_back(Message{from, to, bytes, std::move(tag)});
-  }
   ++total_messages_;
   total_bytes_ += bytes;
   const double seconds = cost_model_.TransferSeconds(bytes);
@@ -20,7 +18,6 @@ size_t Network::BytesWithTag(const std::string& tag) const {
 }
 
 void Network::Reset() {
-  messages_.clear();
   bytes_by_tag_.clear();
   total_messages_ = 0;
   total_bytes_ = 0;

@@ -7,60 +7,34 @@
 /// volume and simulated transfer time (the paper's O(1)-communication claim
 /// for the selection protocol is checked against these counters).
 ///
-/// Aggregate counters (total messages/bytes/seconds and per-tag bytes) are
-/// always maintained in O(1) per Send. The per-message log behind
-/// `messages()` is optional: high-throughput serving workloads can turn it
-/// off via NetworkOptions::record_messages to keep memory bounded while the
-/// counters keep working.
+/// Only aggregate counters are kept (total messages/bytes/seconds and
+/// per-tag bytes), each updated in O(1) per Send, so memory stays bounded
+/// however many queries a network carries.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "qens/sim/cost_model.h"
 
 namespace qens::sim {
 
-/// One recorded message.
-struct Message {
-  size_t from = 0;
-  size_t to = 0;
-  size_t bytes = 0;
-  std::string tag;  ///< e.g. "profile", "model-down", "model-up".
-};
-
-/// Network accounting knobs.
-struct NetworkOptions {
-  /// Keep the full per-message log served by `messages()`. Default on
-  /// (the historical behavior). With it off, `messages()` stays empty but
-  /// every counter — `total_messages`, `total_bytes`,
-  /// `total_transfer_seconds`, `BytesWithTag` — is still exact, so
-  /// long-running query-serving workloads don't grow an unbounded log.
-  bool record_messages = true;
-};
-
 /// Records traffic and accumulates simulated transfer time.
 class Network {
  public:
-  explicit Network(CostModel cost_model,
-                   NetworkOptions options = NetworkOptions())
-      : cost_model_(cost_model), options_(options) {}
+  explicit Network(CostModel cost_model) : cost_model_(cost_model) {}
 
-  /// Record a message and return its simulated transfer seconds.
+  /// Account one message from node `from` to node `to` and return its
+  /// simulated transfer seconds. Only the counters below record it.
   double Send(size_t from, size_t to, size_t bytes, std::string tag);
 
   size_t total_messages() const { return total_messages_; }
   size_t total_bytes() const { return total_bytes_; }
   double total_transfer_seconds() const { return total_seconds_; }
 
-  /// The per-message log. Empty when NetworkOptions::record_messages is
-  /// off — use the counters instead.
-  const std::vector<Message>& messages() const { return messages_; }
-
   /// Sum of bytes for messages with the given tag. O(log #tags): served
-  /// from a running per-tag counter, not a scan of the message log.
+  /// from a running per-tag counter.
   size_t BytesWithTag(const std::string& tag) const;
 
   /// Running byte totals keyed by tag (deterministic iteration order).
@@ -68,16 +42,13 @@ class Network {
     return bytes_by_tag_;
   }
 
-  /// Forget all recorded traffic (log and counters).
+  /// Forget all recorded traffic (zero every counter).
   void Reset();
 
   const CostModel& cost_model() const { return cost_model_; }
-  const NetworkOptions& options() const { return options_; }
 
  private:
   CostModel cost_model_;
-  NetworkOptions options_;
-  std::vector<Message> messages_;
   std::map<std::string, size_t> bytes_by_tag_;
   size_t total_messages_ = 0;
   size_t total_bytes_ = 0;

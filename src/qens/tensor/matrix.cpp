@@ -91,13 +91,23 @@ Result<Matrix> Matrix::SelectRows(const std::vector<size_t>& indices) const {
 Status Matrix::SelectRowsInto(const std::vector<size_t>& indices,
                               Matrix* out) const {
   assert(out != this);
-  out->ResizeUninitialized(indices.size(), cols_);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= rows_) {
+  for (size_t index : indices) {
+    if (index >= rows_) {
       return Status::OutOfRange(
-          StrFormat("SelectRows: index %zu >= %zu", indices[i], rows_));
+          StrFormat("SelectRows: index %zu >= %zu", index, rows_));
     }
-    std::copy(RowPtr(indices[i]), RowPtr(indices[i]) + cols_, out->RowPtr(i));
+  }
+  out->ResizeUninitialized(indices.size(), cols_);
+  // Inline gather: at the trainer's narrow widths (often one column) a
+  // per-row std::copy costs a memmove call per element.
+  double* dst = out->data_.data();
+  if (cols_ == 1) {
+    for (size_t i = 0; i < indices.size(); ++i) dst[i] = data_[indices[i]];
+    return Status::OK();
+  }
+  for (size_t index : indices) {
+    const double* src = RowPtr(index);
+    for (size_t c = 0; c < cols_; ++c) *dst++ = src[c];
   }
   return Status::OK();
 }
@@ -136,6 +146,24 @@ constexpr size_t kGemmColTile = 256;
 /// the vectorizer, which carries the k-chain inside one vector lane.
 void GemmAccumulate(const double* a_data, size_t a_rows, size_t a_cols,
                     const double* b_data, size_t b_cols, double* out_data) {
+  if (b_cols == 1) {
+    // Width-1 rhs (every LR layer, the MLP output layer): one plain dot
+    // product per row. The general loop would pay the vectorized j-loop's
+    // prologue and alias checks per row for a single element. Same chain:
+    // the output value, then a(i, k) * b(k) added in ascending k.
+    if (a_cols == 1) {  // One feature: a single flat (vectorizable) pass.
+      const double b0 = b_data[0];
+      for (size_t i = 0; i < a_rows; ++i) out_data[i] += a_data[i] * b0;
+      return;
+    }
+    for (size_t i = 0; i < a_rows; ++i) {
+      const double* a = a_data + i * a_cols;
+      double acc = out_data[i];
+      for (size_t k = 0; k < a_cols; ++k) acc += a[k] * b_data[k];
+      out_data[i] = acc;
+    }
+    return;
+  }
   for (size_t j0 = 0; j0 < b_cols; j0 += kGemmColTile) {
     const size_t j1 = std::min(j0 + kGemmColTile, b_cols);
     for (size_t i = 0; i < a_rows; ++i) {
@@ -210,6 +238,11 @@ Status Matrix::MatMulAddBiasInto(const Matrix& rhs,
   // Bias lands after the full k-accumulation — the same operand order as
   // MatMul + AddRowBroadcast, fused while the output is still hot.
   const double* b = bias.data();
+  if (rhs.cols_ == 1) {  // One flat pass instead of a 1-wide loop per row.
+    double* o = out->data_.data();
+    for (size_t i = 0; i < rows_; ++i) o[i] += b[0];
+    return Status::OK();
+  }
   for (size_t i = 0; i < rows_; ++i) {
     double* o = out->RowPtr(i);
     for (size_t j = 0; j < rhs.cols_; ++j) o[j] += b[j];
@@ -233,6 +266,14 @@ Status Matrix::MatMulTransposedAInto(const Matrix& rhs, Matrix* out) const {
   // as sequential adds (same ascending-r chain, never a partial-sum tree),
   // which amortizes the output load/store and keeps j vectorizable.
   const size_t n = rhs.cols_;
+  if (cols_ == 1 && n == 1) {
+    // 1x1 result (dW of a one-feature LR layer): a single dot product over
+    // the rows, in the same ascending-r chain as the loops below.
+    double acc = out->data_[0];
+    for (size_t r = 0; r < rows_; ++r) acc += data_[r] * rhs.data_[r];
+    out->data_[0] = acc;
+    return Status::OK();
+  }
   size_t r = 0;
   for (; r + 4 <= rows_; r += 4) {
     const double* a0 = RowPtr(r);
@@ -393,12 +434,24 @@ Status Matrix::AddRowBroadcast(const std::vector<double>& row) {
 }
 
 std::vector<double> Matrix::ColSums() const {
-  std::vector<double> sums(cols_, 0.0);
+  std::vector<double> sums;
+  ColSumsInto(&sums);
+  return sums;
+}
+
+void Matrix::ColSumsInto(std::vector<double>* sums) const {
+  sums->assign(cols_, 0.0);
+  double* s = sums->data();
+  if (cols_ == 1) {  // Same ascending-row chain, without a per-row loop.
+    double acc = s[0];
+    for (size_t r = 0; r < rows_; ++r) acc += data_[r];
+    s[0] = acc;
+    return;
+  }
   for (size_t r = 0; r < rows_; ++r) {
     const double* src = RowPtr(r);
-    for (size_t c = 0; c < cols_; ++c) sums[c] += src[c];
+    for (size_t c = 0; c < cols_; ++c) s[c] += src[c];
   }
-  return sums;
 }
 
 std::vector<double> Matrix::ColMeans() const {

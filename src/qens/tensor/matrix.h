@@ -88,7 +88,8 @@ class Matrix {
   /// SelectRows into caller-owned scratch: `out` is resized (reusing its
   /// allocation) and overwritten. Hot-path variant — a training loop can
   /// slice every mini-batch of every epoch without touching the allocator.
-  /// `out` must not alias this matrix.
+  /// `out` must not alias this matrix. Every index is validated before
+  /// `out` is touched.
   Status SelectRowsInto(const std::vector<size_t>& indices, Matrix* out) const;
 
   /// Transposed copy.
@@ -141,6 +142,10 @@ class Matrix {
 
   /// Sum over rows: returns a length-cols() vector of column sums.
   std::vector<double> ColSums() const;
+
+  /// ColSums into caller-owned scratch (resized, reusing its allocation);
+  /// each sum starts at 0.0 and adds the rows in ascending order.
+  void ColSumsInto(std::vector<double>* sums) const;
 
   /// Mean over rows: returns a length-cols() vector of column means.
   /// Returns zeros when the matrix has no rows.

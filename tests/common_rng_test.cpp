@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace qens {
 namespace {
@@ -61,6 +63,110 @@ TEST(RngTest, UniformIntCoversDomainWithoutBias) {
   for (int c : counts) {
     EXPECT_GT(c, n / 10 - n / 50);
     EXPECT_LT(c, n / 10 + n / 50);
+  }
+}
+
+/// The rejection sampler UniformInt replaced: it computed the rejection
+/// limit max - max % n before every draw.
+uint64_t ReferenceUniformInt(Rng* rng, uint64_t n) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  const uint64_t limit = max - max % n;
+  uint64_t x;
+  do {
+    x = rng->Next();
+  } while (x >= limit);
+  return x % n;
+}
+
+TEST(RngTest, UniformIntDrawsMatchReferenceSampler) {
+  // Same values AND the same number of raw draws consumed, checked through
+  // the generators' next outputs. Large n is where rejection happens: at
+  // n = 2^63 + 1 almost half of all raw draws are rejected.
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  const std::vector<uint64_t> ns = {
+      1,           2,           3,           7,
+      32,          1000,        (1ull << 32) - 1,
+      (1ull << 32), (1ull << 32) + 1, (1ull << 62) + 3,
+      1ull << 63,  (1ull << 63) + 1, (1ull << 63) + (1ull << 62),
+      max - 1,     max};
+  for (uint64_t seed : {1ull, 99ull, 2023ull}) {
+    for (uint64_t n : ns) {
+      Rng got(seed);
+      Rng want(seed);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(got.UniformInt(n), ReferenceUniformInt(&want, n))
+            << "n=" << n << " seed=" << seed << " draw " << i;
+      }
+      EXPECT_EQ(got.Next(), want.Next()) << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+TEST(RngTest, UniformIntRejectsAboveTheLimit) {
+  // At n = 2^63 + 1 the limit is n itself: the sampler must skip raw draws
+  // >= n, which the accept-at-once test (x <= max - n) never admits.
+  const uint64_t n = (1ull << 63) + 1;
+  Rng raw(7);
+  Rng rng(7);
+  size_t rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    uint64_t x = raw.Next();
+    while (x >= n) {
+      ++rejected;
+      x = raw.Next();
+    }
+    ASSERT_EQ(rng.UniformInt(n), x % n);
+  }
+  EXPECT_GT(rejected, 50u);
+  // Pinned first draws (seed 7), as the reference sampler produced them.
+  Rng pinned(7);
+  const std::vector<uint64_t> first = {
+      309689372594955804ull,  8346079845500723674ull, 4601199455465548305ull,
+      8632209307422871798ull, 6051947643683389182ull, 2476628477891077985ull};
+  for (uint64_t v : first) EXPECT_EQ(pinned.UniformInt(n), v);
+  EXPECT_EQ(pinned.Next(), 7621113624420504425ull);
+}
+
+TEST(RngTest, ShuffleOutputIsPinned) {
+  // Two shuffles of 0..15 per seed, as the reference sampler produced them;
+  // every training order in the library is a Shuffle, so any change here
+  // changes trained models.
+  struct Golden {
+    uint64_t seed;
+    std::vector<size_t> order;
+    uint64_t next;
+  };
+  const std::vector<Golden> goldens = {
+      {1, {12, 15, 13, 5, 10, 9, 11, 6, 3, 0, 4, 14, 7, 1, 8, 2},
+       10820770463232788922ull},
+      {42, {13, 14, 11, 10, 12, 1, 8, 2, 0, 3, 15, 9, 7, 6, 5, 4},
+       15504792434803289182ull},
+      {2023, {15, 13, 0, 10, 12, 4, 9, 5, 3, 1, 14, 8, 6, 7, 11, 2},
+       17188602985111479078ull},
+  };
+  for (const Golden& g : goldens) {
+    std::vector<size_t> v(16);
+    std::iota(v.begin(), v.end(), size_t{0});
+    Rng rng(g.seed);
+    rng.Shuffle(&v);
+    rng.Shuffle(&v);
+    EXPECT_EQ(v, g.order) << "seed " << g.seed;
+    EXPECT_EQ(rng.Next(), g.next) << "seed " << g.seed;
+  }
+  // And against the reference sampler on a training-sized index vector.
+  for (uint64_t seed : {3ull, 17ull}) {
+    std::vector<size_t> got(1500);
+    std::iota(got.begin(), got.end(), size_t{0});
+    std::vector<size_t> want = got;
+    Rng a(seed);
+    Rng b(seed);
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      a.Shuffle(&got);
+      for (size_t i = want.size() - 1; i > 0; --i) {
+        std::swap(want[i], want[ReferenceUniformInt(&b, i + 1)]);
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " epoch " << epoch;
+    }
   }
 }
 

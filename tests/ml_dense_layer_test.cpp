@@ -18,7 +18,7 @@ TEST(DenseLayerTest, ForwardLinearMath) {
   layer.weights()(1, 0) = -1.0;
   layer.bias()[0] = 0.5;
   Matrix x{{3, 4}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_DOUBLE_EQ((*y)(0, 0), 2.0 * 3 - 1.0 * 4 + 0.5);
 }
@@ -28,7 +28,7 @@ TEST(DenseLayerTest, ForwardBatch) {
   layer.weights()(0, 0) = 1.0;
   layer.weights()(0, 1) = -1.0;
   Matrix x{{1}, {2}, {3}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_EQ(y->rows(), 3u);
   EXPECT_EQ(y->cols(), 2u);
@@ -38,14 +38,14 @@ TEST(DenseLayerTest, ForwardBatch) {
 TEST(DenseLayerTest, ForwardShapeMismatch) {
   DenseLayer layer(3, 1, Activation::kIdentity);
   Matrix x(2, 2);
-  EXPECT_TRUE(layer.Forward(x, false).status().IsInvalidArgument());
+  EXPECT_TRUE(layer.Apply(x).status().IsInvalidArgument());
 }
 
 TEST(DenseLayerTest, ReluClampsNegativePreactivations) {
   DenseLayer layer(1, 1, Activation::kRelu);
   layer.weights()(0, 0) = 1.0;
   Matrix x{{-5.0}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_DOUBLE_EQ((*y)(0, 0), 0.0);
 }
@@ -54,7 +54,8 @@ TEST(DenseLayerTest, BackwardRequiresCachedForward) {
   DenseLayer layer(1, 1, Activation::kIdentity);
   DenseGradients grads;
   Matrix g{{1.0}};
-  EXPECT_TRUE(layer.Backward(g, &grads).status().IsFailedPrecondition());
+  Matrix dx;
+  EXPECT_TRUE(layer.Backward(g, &grads, &dx).IsFailedPrecondition());
 }
 
 TEST(DenseLayerTest, GlorotInitBounded) {
@@ -123,15 +124,17 @@ TEST_P(DenseLayerGradCheck, BackwardMatchesNumericalGradient) {
   for (double& v : target.data()) v = rng.Uniform(-1, 1);
 
   auto loss_of = [&](DenseLayer& l) -> double {
-    Matrix y = l.Forward(x, false).value();
+    Matrix y = l.Apply(x).value();
     return ComputeLoss(LossKind::kMse, y, target).value();
   };
 
   // Analytic gradients.
-  Matrix y = layer.Forward(x, true).value();
+  Matrix y;
+  ASSERT_TRUE(layer.Forward(x, &y).ok());
+  EXPECT_EQ(y, layer.Apply(x).value());  // Training forward == inference.
   Matrix dl = ComputeLossGrad(LossKind::kMse, y, target).value();
   DenseGradients grads;
-  ASSERT_TRUE(layer.Backward(dl, &grads).ok());
+  ASSERT_TRUE(layer.Backward(dl, &grads, nullptr).ok());
 
   const double eps = 1e-6;
   // Check a spread of weight entries.
@@ -168,10 +171,12 @@ TEST(DenseLayerTest, BackwardInputGradientMatchesNumerical) {
   Matrix x{{0.4, -0.3}};
   Matrix target{{0.1, 0.9}};
 
-  Matrix y = layer.Forward(x, true).value();
+  Matrix y;
+  ASSERT_TRUE(layer.Forward(x, &y).ok());
   Matrix dl = ComputeLossGrad(LossKind::kMse, y, target).value();
   DenseGradients grads;
-  Matrix dx = layer.Backward(dl, &grads).value();
+  Matrix dx;
+  ASSERT_TRUE(layer.Backward(dl, &grads, &dx).ok());
 
   const double eps = 1e-6;
   for (size_t c = 0; c < 2; ++c) {
@@ -179,10 +184,10 @@ TEST(DenseLayerTest, BackwardInputGradientMatchesNumerical) {
     xlo(0, c) -= eps;
     xhi(0, c) += eps;
     const double lo =
-        ComputeLoss(LossKind::kMse, layer.Forward(xlo, false).value(), target)
+        ComputeLoss(LossKind::kMse, layer.Apply(xlo).value(), target)
             .value();
     const double hi =
-        ComputeLoss(LossKind::kMse, layer.Forward(xhi, false).value(), target)
+        ComputeLoss(LossKind::kMse, layer.Apply(xhi).value(), target)
             .value();
     EXPECT_NEAR(dx(0, c), (hi - lo) / (2 * eps), 1e-5);
   }

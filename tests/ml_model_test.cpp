@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "qens/ml/loss.h"
 
 namespace qens::ml {
@@ -39,6 +41,7 @@ TEST(SequentialModelTest, EmptyModelFails) {
   Matrix x(1, 1);
   EXPECT_TRUE(m.Predict(x).status().IsFailedPrecondition());
   EXPECT_TRUE(m.Forward(x).status().IsFailedPrecondition());
+  EXPECT_TRUE(m.Backward(x).IsFailedPrecondition());
   EXPECT_EQ(m.input_features(), 0u);
 }
 
@@ -73,13 +76,35 @@ TEST(SequentialModelTest, ForwardThenBackwardShapes) {
   Matrix target{{0.0}, {1.0}};
   auto y = m.Forward(x);
   ASSERT_TRUE(y.ok());
-  auto dl = ComputeLossGrad(LossKind::kMse, *y, target);
+  const Matrix& pred = *y;
+  EXPECT_EQ(pred, m.Predict(x).value());  // Training forward == inference.
+  auto dl = ComputeLossGrad(LossKind::kMse, pred, target);
   ASSERT_TRUE(dl.ok());
-  auto grads = m.Backward(*dl);
-  ASSERT_TRUE(grads.ok());
-  ASSERT_EQ(grads->size(), 2u);
-  EXPECT_TRUE((*grads)[0].d_weights.SameShape(m.layer(0).weights()));
-  EXPECT_EQ((*grads)[1].d_bias.size(), 1u);
+  ASSERT_TRUE(m.Backward(*dl).ok());
+  const std::vector<DenseGradients>& grads = m.gradients();
+  ASSERT_EQ(grads.size(), 2u);
+  EXPECT_TRUE(grads[0].d_weights.SameShape(m.layer(0).weights()));
+  EXPECT_EQ(grads[1].d_bias.size(), 1u);
+}
+
+TEST(SequentialModelTest, CopyDoesNotInheritForwardCache) {
+  // The layers' cached input views point into the source model's buffers;
+  // a copy must not follow them (the source may be gone by then).
+  Rng rng(6);
+  auto source = std::make_unique<SequentialModel>(TwoLayerNet(&rng));
+  Matrix x{{0.5, -0.5}, {1.0, 2.0}};
+  Matrix grad{{1.0}, {-1.0}};
+  ASSERT_TRUE(source->Forward(x).ok());
+  SequentialModel copy = source->Clone();
+  SequentialModel assigned;
+  assigned = *source;
+  ASSERT_TRUE(source->Backward(grad).ok());
+  source.reset();
+  EXPECT_TRUE(copy.Backward(grad).IsFailedPrecondition());
+  EXPECT_TRUE(assigned.Backward(grad).IsFailedPrecondition());
+  // Its own Forward makes it trainable again.
+  ASSERT_TRUE(copy.Forward(x).ok());
+  EXPECT_TRUE(copy.Backward(grad).ok());
 }
 
 TEST(SequentialModelTest, ParameterCountAndRoundTrip) {

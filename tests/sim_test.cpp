@@ -83,23 +83,18 @@ TEST(NetworkTest, PerTagCountersTrackManyTags) {
     total += expected[t];
   }
   EXPECT_EQ(net.total_bytes(), total);
-  EXPECT_EQ(net.messages().size(), 40u);  // Log on by default.
+  EXPECT_EQ(net.total_messages(), 40u);
   net.Reset();
   EXPECT_TRUE(net.bytes_by_tag().empty());
   EXPECT_EQ(net.BytesWithTag("profile"), 0u);
 }
 
-TEST(NetworkTest, CountersExactWithMessageLogOff) {
-  NetworkOptions options;
-  options.record_messages = false;
-  Network net{CostModel({0.01, 1000.0, 1.0}), options};
+TEST(NetworkTest, CountersExactAcrossTags) {
+  Network net{CostModel({0.01, 1000.0, 1.0})};
   const double t = net.Send(0, 1, 500, "model-down");
   EXPECT_DOUBLE_EQ(t, 0.01 + 0.5);
   net.Send(1, 0, 200, "model-up");
   net.Send(0, 2, 300, "model-down");
-  // The log stays empty...
-  EXPECT_TRUE(net.messages().empty());
-  // ...but every counter is still exact.
   EXPECT_EQ(net.total_messages(), 3u);
   EXPECT_EQ(net.total_bytes(), 1000u);
   EXPECT_EQ(net.BytesWithTag("model-down"), 800u);
