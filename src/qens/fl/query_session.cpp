@@ -29,12 +29,6 @@ Result<std::shared_ptr<Fleet>> Fleet::Create(
     return Status::InvalidArgument(
         "federation: test_fraction must be in (0, 1)");
   }
-  if (options.elastic_scheduling && !options.splittable_rng) {
-    // Elastic execution reorders work across threads; it is only safe when
-    // every stream is coordinate-keyed (see docs/PERFORMANCE.md).
-    return Status::InvalidArgument(
-        "federation: elastic_scheduling requires splittable_rng");
-  }
 
   std::vector<data::Dataset> train_shards;
   std::vector<data::Dataset> test_shards;
@@ -228,12 +222,6 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   }
   const FederationOptions& fopts = fleet->options;
   const size_t num_nodes = fleet->environment.num_nodes();
-  if (fopts.elastic_scheduling && !fopts.splittable_rng) {
-    // Elastic execution reorders work across threads; it is only safe when
-    // every stream is coordinate-keyed (see docs/PERFORMANCE.md).
-    return Status::InvalidArgument(
-        "federation: elastic_scheduling requires splittable_rng");
-  }
 
   // The session's leader starts from the fleet's published profiles and
   // accumulates its own reliability observations from there. The profiles
@@ -588,7 +576,7 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   ctx.validator = validator_.has_value() ? &*validator_ : nullptr;
   ctx.quarantine_until = &quarantine_until_;
   ctx.byz_round = &byz_round_;
-  ctx.pool = &pool_;
+  ctx.pool = owns_training_pool_ ? &pool_ : nullptr;
   ctx.session_id = session_id_;
   ctx.dynamic = dynamic_.has_value() ? &*dynamic_ : nullptr;
   RoundEngine engine(ctx);

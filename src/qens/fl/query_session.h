@@ -13,9 +13,10 @@
 /// owns every piece of mutable state the protocol touches — the leader's
 /// reliability bookkeeping, the RNG streams (random policy, dropout,
 /// stochastic selection), the fault injector, the Byzantine quarantine
-/// ledger, the training pool, and the Transport its traffic is accounted
-/// through — so two sessions never share mutable state and can run
-/// concurrently while each stays bit-identical to running alone.
+/// ledger, the training pool (Federation's session only), and the
+/// Transport its traffic is accounted through — so two sessions never
+/// share mutable state and can run concurrently while each stays
+/// bit-identical to running alone.
 ///
 /// Seed contract: all per-query randomness derives from the session seed
 /// exactly as the historical Federation derived it from
@@ -170,6 +171,8 @@ class QuerySession {
   size_t fault_round() const { return fault_round_; }
 
  private:
+  friend class Federation;
+
   QuerySession(std::shared_ptr<const Fleet> fleet, uint64_t session_id,
                uint64_t seed, Leader leader,
                std::unique_ptr<sim::Network> own_network,
@@ -200,8 +203,11 @@ class QuerySession {
   size_t fault_round_ = 0;  ///< Rounds executed under fault injection.
   std::optional<DynamicFleet> dynamic_;  ///< When dynamic.enabled.
   std::optional<UpdateValidator> validator_;  ///< When byzantine.enabled.
-  /// Shared worker pool for parallel local training; created lazily on the
-  /// first parallel round, then reused across rounds and queries.
+  /// Local-training fan-out pool, created on the first fanned-out round.
+  /// Only the Federation facade's session may own one (set by
+  /// Federation::Create); QueryServer sessions train inline, since the
+  /// server's workers are already the parallel layer.
+  bool owns_training_pool_ = false;
   std::unique_ptr<common::ThreadPool> pool_;
   /// Per node: first byzantine round index the node may rejoin (quarantine
   /// expiry). Sized num_nodes when byzantine.enabled, else empty.

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "qens/common/status.h"
@@ -85,6 +86,13 @@ class Trainer {
   Result<TrainReport> Fit(SequentialModel* model, const Matrix& x,
                           const Matrix& y);
 
+  /// Train `model` on the rows `rows` of (x, y) only, read in place. The
+  /// sample order starts as `rows` instead of 0..m-1; shuffles depend only
+  /// on its length, so this is bitwise the whole-matrix Fit on the
+  /// gathered rows. Fails on an empty or out-of-range row list too.
+  Result<TrainReport> Fit(SequentialModel* model, const Matrix& x,
+                          const Matrix& y, std::span<const size_t> rows);
+
   /// One gradient step on a single batch (no split/shuffle). Returns the
   /// batch loss before the update. Allocation-free once the model's and the
   /// trainer's buffers have seen the batch shape.
@@ -92,6 +100,10 @@ class Trainer {
                             const Matrix& y);
 
  private:
+  /// The one Fit body: `order` holds the row ids to train on.
+  Result<TrainReport> FitRows(SequentialModel* model, const Matrix& x,
+                              const Matrix& y, std::vector<size_t> order);
+
   std::unique_ptr<Optimizer> optimizer_;
   TrainOptions options_;
   Matrix loss_grad_;  ///< dL/dpred scratch, reused across batches.

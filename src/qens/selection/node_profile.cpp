@@ -41,31 +41,23 @@ Result<QuantizedNode> QuantizeNode(
   out.profile.name = name;
   out.profile.clusters = std::move(summaries);
   out.profile.total_samples = local_data.NumSamples();
-  out.assignment = std::move(fit.assignment);
+  // Counting sort of the assignment by the clusters' member counts.
+  std::vector<size_t> next(out.profile.clusters.size());
+  for (size_t c = 1; c < next.size(); ++c) {
+    next[c] = next[c - 1] + out.profile.clusters[c - 1].size;
+  }
+  out.cluster_rows.resize(fit.assignment.size());
+  for (size_t r = 0; r < fit.assignment.size(); ++r) {
+    out.cluster_rows[next[fit.assignment[r]]++] = r;
+  }
   return out;
 }
 
-std::vector<size_t> QuantizedNode::RowsOfCluster(size_t cluster_id) const {
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < assignment.size(); ++r) {
-    if (assignment[r] == cluster_id) rows.push_back(r);
-  }
-  return rows;
-}
-
-std::vector<size_t> QuantizedNode::RowsOfClusters(
-    const std::vector<size_t>& cluster_ids) const {
-  std::vector<bool> wanted;
-  for (size_t id : cluster_ids) {
-    if (id >= wanted.size()) wanted.resize(id + 1, false);
-    wanted[id] = true;
-  }
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < assignment.size(); ++r) {
-    const size_t a = assignment[r];
-    if (a < wanted.size() && wanted[a]) rows.push_back(r);
-  }
-  return rows;
+std::span<const size_t> QuantizedNode::RowsOfCluster(size_t cluster_id) const {
+  size_t begin = 0;
+  for (size_t c = 0; c < cluster_id; ++c) begin += profile.clusters[c].size;
+  return std::span<const size_t>(cluster_rows)
+      .subspan(begin, profile.clusters[cluster_id].size);
 }
 
 }  // namespace qens::selection

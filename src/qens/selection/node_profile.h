@@ -8,6 +8,7 @@
 /// samples (the paper's privacy constraint).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,14 +74,13 @@ Result<NodeProfile> BuildNodeProfile(size_t node_id, const std::string& name,
 /// data-selectivity mechanism to train only on supporting clusters).
 struct QuantizedNode {
   NodeProfile profile;
-  std::vector<size_t> assignment;  ///< Row -> cluster id (node-private).
+  /// Node-private membership: every row id, grouped by cluster in id
+  /// order and ascending within a cluster (profile.clusters[c].size ids
+  /// per cluster).
+  std::vector<size_t> cluster_rows;
 
-  /// Row indices belonging to any of `cluster_ids`.
-  std::vector<size_t> RowsOfClusters(
-      const std::vector<size_t>& cluster_ids) const;
-
-  /// Row indices of a single cluster.
-  std::vector<size_t> RowsOfCluster(size_t cluster_id) const;
+  /// Row indices of cluster `cluster_id` (< profile.clusters.size()).
+  std::span<const size_t> RowsOfCluster(size_t cluster_id) const;
 };
 
 /// Quantize a node's data keeping the private assignment.

@@ -195,8 +195,9 @@ TEST(PolicyExtensionTest, StochasticPolicyTracksParticipation) {
 
 TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
   FederationOptions seq_options = FastOptions();
+  seq_options.max_parallel_nodes = 1;
   FederationOptions par_options = FastOptions();
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = 4;
   auto seq = MakeFederation(seq_options);
   auto par = MakeFederation(par_options);
   ASSERT_TRUE(seq.ok());
@@ -216,7 +217,7 @@ TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
 
 TEST(ParallelTrainingTest, WorksWithAllNodesPolicy) {
   FederationOptions options = FastOptions();
-  options.parallel_local_training = true;
+  options.max_parallel_nodes = 4;
   auto fed = MakeFederation(options);
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 30),

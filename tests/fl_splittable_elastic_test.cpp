@@ -1,10 +1,10 @@
-// Federation-level contract of the splittable-RNG + elastic-scheduling
-// modes: with splittable_rng on, every stream is a pure function of
-// logical coordinates, so outcomes are bit-identical across worker counts,
-// fixed vs elastic dispatch, and query arrival order — including under an
-// active fault plan. Also pins the option validation (elastic requires
-// splittable) and that legacy mode stays byte-identical by default (the
-// quickstart/bench outputs pin that end to end; here we pin the seeds).
+// Federation-level contract of the splittable-RNG mode: every stream is a
+// pure function of logical coordinates, so outcomes are bit-identical
+// across training participant counts, elastic serving and query arrival
+// order — including under an active fault plan. Also pins that elastic
+// serving requires a splittable fleet and that the legacy seed
+// derivations stay byte-identical (the quickstart/bench outputs pin that
+// end to end; here we pin the seeds).
 
 #include <gtest/gtest.h>
 
@@ -71,15 +71,6 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_DOUBLE_EQ(a.sim_time_comm, b.sim_time_comm);
 }
 
-TEST(SplittableElasticTest, ElasticSchedulingRequiresSplittableRng) {
-  FederationOptions options = SplittableOptions();
-  options.splittable_rng = false;
-  options.elastic_scheduling = true;
-  auto fleet = Fleet::Create(MakeNodes(), options);
-  ASSERT_FALSE(fleet.ok());
-  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(SplittableElasticTest, ElasticServingRequiresSplittableFleet) {
   FederationOptions options = SplittableOptions();
   options.splittable_rng = false;
@@ -97,16 +88,18 @@ TEST(SplittableElasticTest, ElasticServingRequiresSplittableFleet) {
   EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SplittableElasticTest, TrainingFanOutBitIdenticalFixedVsElastic) {
-  // The same workload under every dispatch combination: sequential,
-  // fixed pooled, elastic pooled, at several worker counts. Splittable
-  // streams are coordinate-keyed, so every combination must agree.
+TEST(SplittableElasticTest, TrainingFanOutBitIdenticalToInline) {
+  // The same workload trained inline (max_parallel_nodes = 1, the oracle)
+  // and fanned out over several participant counts. Splittable streams are
+  // coordinate-keyed, so every count must agree.
   const std::vector<query::RangeQuery> queries = {
       QueryOver(0, 10, 1), QueryOver(2, 8, 2), QueryOver(0, 5, 3)};
 
+  FederationOptions options = SplittableOptions();
+  options.max_parallel_nodes = 1;
   std::vector<QueryOutcome> expected;
   {
-    auto fed = Federation::Create(MakeNodes(), SplittableOptions());
+    auto fed = Federation::Create(MakeNodes(), options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (const auto& q : queries) {
       auto outcome = fed->RunQueryDriven(q);
@@ -116,37 +109,32 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalFixedVsElastic) {
     EXPECT_FALSE(expected[0].skipped);
   }
 
-  for (const bool elastic : {false, true}) {
-    for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
-      FederationOptions options = SplittableOptions();
-      options.parallel_local_training = true;
-      options.max_parallel_nodes = workers;
-      options.elastic_scheduling = elastic;
-      auto fed = Federation::Create(MakeNodes(), options);
-      ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        auto outcome = fed->RunQueryDriven(queries[i]);
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        SCOPED_TRACE(testing::Message() << "elastic=" << elastic
-                                        << " workers=" << workers
-                                        << " query=" << i);
-        ExpectIdenticalOutcomes(expected[i], *outcome);
-      }
+  for (const size_t participants : {size_t{2}, size_t{4}, size_t{8}}) {
+    options.max_parallel_nodes = participants;
+    auto fed = Federation::Create(MakeNodes(), options);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto outcome = fed->RunQueryDriven(queries[i]);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      SCOPED_TRACE(testing::Message() << "participants=" << participants
+                                      << " query=" << i);
+      ExpectIdenticalOutcomes(expected[i], *outcome);
     }
   }
 }
 
-TEST(SplittableElasticTest, FaultyFanOutBitIdenticalFixedVsElastic) {
-  // Straggler-heavy fault plan: per-unit work is skewed, so the elastic
-  // path actually steals — and must still match the sequential run bit
+TEST(SplittableElasticTest, FaultyFanOutBitIdenticalToInline) {
+  // Straggler-heavy fault plan: per-job work is skewed, so participants
+  // steal jobs from each other — and must still match the inline run bit
   // for bit (fault draws are coordinate-keyed too in splittable mode).
-  auto faulty_options = [] {
+  auto faulty_options = [](size_t participants) {
     FederationOptions options = SplittableOptions();
     options.fault_tolerance.enabled = true;
     options.fault_tolerance.faults.seed = 5;
     options.fault_tolerance.faults.straggler_rate = 0.4;
     options.fault_tolerance.faults.dropout_rate = 0.1;
     options.fault_tolerance.faults.message_loss_rate = 0.05;
+    options.max_parallel_nodes = participants;
     return options;
   };
   const std::vector<query::RangeQuery> queries = {QueryOver(0, 10, 1),
@@ -154,29 +142,26 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalFixedVsElastic) {
 
   std::vector<QueryOutcome> expected;
   {
-    auto fed = Federation::Create(MakeNodes(), faulty_options());
+    auto fed = Federation::Create(MakeNodes(), faulty_options(1));
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (const auto& q : queries) {
-      auto outcome = fed->RunQueryMultiRound(q, selection::PolicyKind::kQueryDriven,
-                                           /*data_selectivity=*/true, 3);
+      auto outcome = fed->RunQueryMultiRound(
+          q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true, 3);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       expected.push_back(*outcome);
     }
   }
 
-  for (const bool elastic : {false, true}) {
-    FederationOptions options = faulty_options();
-    options.parallel_local_training = true;
-    options.max_parallel_nodes = 4;
-    options.elastic_scheduling = elastic;
-    auto fed = Federation::Create(MakeNodes(), options);
+  for (const size_t participants : {size_t{0}, size_t{4}}) {
+    auto fed = Federation::Create(MakeNodes(), faulty_options(participants));
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto outcome = fed->RunQueryMultiRound(queries[i], selection::PolicyKind::kQueryDriven,
-                              /*data_selectivity=*/true, 3);
+      auto outcome = fed->RunQueryMultiRound(
+          queries[i], selection::PolicyKind::kQueryDriven,
+          /*data_selectivity=*/true, 3);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      SCOPED_TRACE(testing::Message() << "elastic=" << elastic << " query="
-                                      << i);
+      SCOPED_TRACE(testing::Message() << "participants=" << participants
+                                      << " query=" << i);
       ExpectIdenticalOutcomes(expected[i], *outcome);
     }
   }

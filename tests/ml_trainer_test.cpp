@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "qens/common/rng.h"
 #include "qens/ml/model_factory.h"
 
@@ -208,6 +210,57 @@ TEST(TrainerTest, TinyDatasetStillTrains) {
   options.validation_split = 0.5;
   auto trainer = MakeSgdTrainer(options);
   EXPECT_TRUE(trainer->Fit(&model, x, y).ok());
+}
+
+TEST(TrainerTest, RowSubsetFitMatchesFitOnGatheredRows) {
+  // Fitting rows `rows` of (x, y) in place is bitwise the whole-matrix Fit
+  // on those rows gathered in order, in both shuffle modes and with a
+  // validation split, across back-to-back (incremental) fits.
+  Matrix x, y;
+  MakeLinearData(300, 12, &x, &y);
+  std::vector<size_t> rows;
+  for (size_t r = 3; r < 300; r += 4) rows.push_back(r);
+  const Matrix gx = x.SelectRows(rows).value();
+  const Matrix gy = y.SelectRows(rows).value();
+  for (const bool keyed : {false, true}) {
+    for (const double split : {0.0, 0.25}) {
+      TrainOptions options;
+      options.epochs = 7;
+      options.batch_size = 8;
+      options.seed = 31;
+      options.keyed_shuffle = keyed;
+      options.validation_split = split;
+      SequentialModel subset, gathered;
+      ASSERT_TRUE(subset.AddLayer(1, 1, Activation::kIdentity).ok());
+      ASSERT_TRUE(gathered.AddLayer(1, 1, Activation::kIdentity).ok());
+      auto subset_trainer = MakeSgdTrainer(options);
+      auto gathered_trainer = MakeSgdTrainer(options);
+      for (int fit = 0; fit < 2; ++fit) {
+        auto a = subset_trainer->Fit(&subset, x, y, rows);
+        auto b = gathered_trainer->Fit(&gathered, gx, gy);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        EXPECT_EQ(a->train_loss, b->train_loss);
+        EXPECT_EQ(a->val_loss, b->val_loss);
+        EXPECT_EQ(a->samples_seen, b->samples_seen);
+        EXPECT_EQ(subset.GetParameters(), gathered.GetParameters());
+      }
+    }
+  }
+}
+
+TEST(TrainerTest, RowSubsetFitRejectsBadRows) {
+  Matrix x, y;
+  MakeLinearData(10, 13, &x, &y);
+  SequentialModel model;
+  ASSERT_TRUE(model.AddLayer(1, 1, Activation::kIdentity).ok());
+  auto trainer = MakeSgdTrainer(TrainOptions());
+  const std::vector<double> before = model.GetParameters();
+  const std::vector<size_t> out_of_range = {0, 10};
+  EXPECT_TRUE(trainer->Fit(&model, x, y, out_of_range).status().IsOutOfRange());
+  EXPECT_EQ(trainer->Fit(&model, x, y, std::vector<size_t>{}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.GetParameters(), before);  // Nothing trained.
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "qens/common/rng.h"
 #include "qens/sim/cost_model.h"
 #include "qens/sim/edge_environment.h"
@@ -120,34 +123,36 @@ TEST(EdgeNodeTest, QuantizeAndProfile) {
   EXPECT_EQ((*profile)->total_samples, 200u);
 }
 
-TEST(EdgeNodeTest, ClusterDataPartitionsNode) {
+TEST(EdgeNodeTest, ClusterRowsPartitionNode) {
   EdgeNode node(0, "n0", MakeData(150, 0.0, 2), 1.0);
   clustering::KMeansOptions km;
   km.k = 3;
   ASSERT_TRUE(node.Quantize(km).ok());
-  size_t total = 0;
+  const selection::NodeProfile* profile = node.profile().value();
+  std::vector<bool> seen(150, false);
   for (size_t c = 0; c < 3; ++c) {
-    auto data = node.ClusterData(c);
-    if (data.ok()) total += data->NumSamples();
+    auto rows = node.ClusterRows(c);
+    if (!rows.ok()) {
+      EXPECT_TRUE(rows.status().IsNotFound());
+      EXPECT_EQ(profile->clusters[c].size, 0u);
+      continue;
+    }
+    // Ascending ids, one cluster per row, sized as published.
+    EXPECT_TRUE(std::is_sorted(rows->begin(), rows->end()));
+    EXPECT_EQ(rows->size(), profile->clusters[c].size);
+    for (size_t r : *rows) {
+      ASSERT_LT(r, 150u);
+      EXPECT_FALSE(seen[r]);
+      seen[r] = true;
+    }
   }
-  EXPECT_EQ(total, 150u);
-}
-
-TEST(EdgeNodeTest, ClustersDataUnion) {
-  EdgeNode node(0, "n0", MakeData(100, 0.0, 3), 1.0);
-  clustering::KMeansOptions km;
-  km.k = 4;
-  ASSERT_TRUE(node.Quantize(km).ok());
-  auto all = node.ClustersData({0, 1, 2, 3});
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->NumSamples(), 100u);
-  EXPECT_TRUE(node.ClusterData(9).status().IsOutOfRange());
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 150);
+  EXPECT_TRUE(node.ClusterRows(9).status().IsOutOfRange());
 }
 
 TEST(EdgeNodeTest, AccessBeforeQuantizeFails) {
   EdgeNode node(0, "n0", MakeData(10, 0.0, 4), 1.0);
-  EXPECT_TRUE(node.ClusterData(0).status().IsFailedPrecondition());
-  EXPECT_TRUE(node.ClustersData({0}).status().IsFailedPrecondition());
+  EXPECT_TRUE(node.ClusterRows(0).status().IsFailedPrecondition());
 }
 
 EnvironmentOptions SmallEnvOptions() {

@@ -61,6 +61,16 @@ BENCH_REQUIREMENTS = {
             "throughput": {"wall_seconds", "speedup", "hw_threads"},
         },
     },
+    "bench_x14_training_fanout": {
+        "sections": {"equality", "crossover", "product"},
+        "section_values": {
+            "equality": {"queries", "identical"},
+            "crossover": {"jobs", "sample_epochs", "inline_us", "fanout_us",
+                          "ratio", "reps"},
+            "product": {"sample_epochs", "inline_us", "default_us", "ratio",
+                        "reps"},
+        },
+    },
 }
 
 
