@@ -22,9 +22,11 @@ constexpr uint64_t RangeEnd(uint64_t pack) { return pack & 0xffffffffull; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = std::max<size_t>(1, num_threads);
+  sleepers_ = std::make_unique<Sleeper[]>(n);
+  idle_.reserve(n);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
+    workers_.emplace_back([this, i]() { WorkerLoop(i); });
   }
 }
 
@@ -33,16 +35,36 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  for (size_t i = 0; i < workers_.size(); ++i) sleepers_[i].cv.notify_one();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::Enqueue(std::function<void()> task) {
+  Sleeper* wake = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+    if (!idle_.empty()) {
+      wake = &sleepers_[idle_.back()];
+      idle_.pop_back();
+      wake->woken = true;
+    }
+  }
+  // With no idle worker, a busy one takes the task when it next looks.
+  if (wake != nullptr) wake->cv.notify_one();
+}
+
+void ThreadPool::WorkerLoop(size_t self) {
+  Sleeper& me = sleepers_[self];
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
+      while (queue_.empty() && !stop_) {
+        me.woken = false;
+        idle_.push_back(self);
+        me.cv.wait(lock, [&]() { return me.woken || stop_; });
+      }
       // Drain remaining tasks even when stopping, so futures handed out
       // before destruction always become ready.
       if (queue_.empty()) return;
@@ -78,9 +100,10 @@ void ThreadPool::ParallelUnits(size_t num_units,
     fn(0);
     return;
   }
-  // Participants: every pool worker plus the calling thread. The initial
-  // partition is the same count-independent ascending layout as a fixed
-  // grid; elasticity comes purely from how the ranges drain.
+  // Participants: the calling thread plus up to num_units - 1 pool
+  // workers. The initial partition is the same count-independent ascending
+  // layout as a fixed grid; elasticity comes purely from how the ranges
+  // drain.
   //
   // All scheduling state is heap-shared with the participant tasks. The
   // caller returns as soon as every unit has FINISHED (completed ==
@@ -99,7 +122,7 @@ void ThreadPool::ParallelUnits(size_t num_units,
     size_t max_chunk = 0;
     size_t participants = 1;
   };
-  const size_t participants = workers_.size() + 1;
+  const size_t participants = std::min(workers_.size() + 1, num_units);
   auto state = std::make_shared<State>(participants);
   state->fn = fn;
   state->divisor = std::max<size_t>(1, options.divisor);
@@ -180,10 +203,10 @@ void ThreadPool::ParallelUnits(size_t num_units,
     }
   };
 
-  // Every pool worker gets a participant task; the caller runs the last
-  // participant inline, so progress is guaranteed even when the pool's
-  // workers are busy with unrelated queued work.
-  for (size_t p = 0; p < workers_.size(); ++p) {
+  // Every participant but the last is a pool task; the caller runs the
+  // last inline, so progress is guaranteed even when the pool's workers
+  // are busy with unrelated queued work.
+  for (size_t p = 0; p + 1 < participants; ++p) {
     Submit([state, run_participant, p]() { run_participant(*state, p); });
   }
   run_participant(*state, participants - 1);
@@ -211,6 +234,11 @@ void ThreadPool::ParallelChunksElastic(
         fn(chunk, begin, end);
       },
       options);
+}
+
+size_t ThreadPool::pending_tasks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 size_t ThreadPool::DefaultThreadCount() {

@@ -61,6 +61,9 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// Tasks queued and not yet started by a worker.
+  size_t pending_tasks() const;
+
   /// Enqueue a callable; returns the future of its result. Tasks start in
   /// FIFO order (completion order depends on scheduling — collect futures in
   /// submission order for deterministic output).
@@ -69,11 +72,7 @@ class ThreadPool {
     using R = std::invoke_result_t<F&>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
     std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.emplace_back([task]() { (*task)(); });
-    }
-    cv_.notify_one();
+    Enqueue([task]() { (*task)(); });
     return future;
   }
 
@@ -93,7 +92,9 @@ class ThreadPool {
   /// its front, and steals from the back of the fullest remaining range
   /// when its own is drained — so stragglers no longer serialize a fixed
   /// partition. The caller thread participates, so the call also works on a
-  /// pool whose workers are busy (or from within a pool task).
+  /// pool whose workers are busy (or from within a pool task). The other
+  /// participants are min(num_units - 1, num_threads()) pool workers: a
+  /// small call on a large pool wakes only the workers it can use.
   ///
   /// Determinism: the pool guarantees each unit runs exactly once, nothing
   /// more. Bit-identical replay additionally requires the call site to (a)
@@ -122,12 +123,24 @@ class ThreadPool {
   static size_t DefaultThreadCount();
 
  private:
-  void WorkerLoop();
+  /// A worker's private wake-up signal.
+  struct Sleeper {
+    std::condition_variable cv;
+    bool woken = false;  ///< Set (under mu_) by the Enqueue that wakes it.
+  };
 
-  std::mutex mu_;
-  std::condition_variable cv_;
+  /// Queue `task` and wake the most recently idled worker, if any is idle.
+  void Enqueue(std::function<void()> task);
+  void WorkerLoop(size_t self);
+
+  mutable std::mutex mu_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
+  /// Sleeping workers, most recently idled last. Waking the last one keeps
+  /// a pool larger than its calls on the same few recently-run workers
+  /// instead of rotating through long sleepers, whose wake-up is slower.
+  std::vector<size_t> idle_;
+  std::unique_ptr<Sleeper[]> sleepers_;  ///< One per worker.
   std::vector<std::thread> workers_;
 };
 

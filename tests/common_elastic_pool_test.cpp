@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <utility>
 #include <thread>
 #include <vector>
@@ -220,6 +222,40 @@ TEST(ElasticPoolTest, CallerParticipatesSoBusyPoolsStillFinish) {
   release.store(true);
   f1.get();
   f2.get();
+}
+
+TEST(ElasticPoolTest, SmallCallsWakeOnlyTheWorkersTheyCanUse) {
+  // A pool grown to three workers, then a two-unit call: the caller plus
+  // one worker participate, so exactly one participant task is queued
+  // (with every worker blocked, nothing drains the queue meanwhile).
+  ThreadPool pool(3);
+  std::atomic<bool> release{false};
+  auto blocker = [&] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::vector<std::future<void>> blocked;
+  for (size_t i = 0; i < pool.num_threads(); ++i) {
+    blocked.push_back(pool.Submit(blocker));
+  }
+  while (pool.pending_tasks() != 0) std::this_thread::yield();
+
+  std::vector<std::atomic<uint32_t>> hits(8);
+  for (const size_t units : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    const size_t before = pool.pending_tasks();
+    pool.ParallelUnits(units, [&](size_t u) { ++hits[u]; });
+    EXPECT_EQ(pool.pending_tasks() - before,
+              std::min(units - 1, pool.num_threads()))
+        << units << " units";
+  }
+  EXPECT_EQ(hits[0].load(), 4u);
+  EXPECT_EQ(hits[1].load(), 3u);
+  EXPECT_EQ(hits[2].load(), 2u);
+  for (size_t u = 3; u < hits.size(); ++u) EXPECT_EQ(hits[u].load(), 1u);
+
+  release.store(true);
+  for (std::future<void>& f : blocked) f.get();
 }
 
 }  // namespace
