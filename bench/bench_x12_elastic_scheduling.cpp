@@ -1,31 +1,27 @@
-// X12: elastic work-stealing dispatch vs the fixed per-unit grid, under a
-// straggler-heavy unit-duration profile with mixed query sizes.
+// X12: ThreadPool::ParallelUnits (work-stealing dispatch) against the
+// sequential loop, under a straggler-heavy unit-duration profile with mixed
+// query sizes.
 //
 // The workload models one federated round's local-training fan-out at
 // scale: a batch of queries of mixed selection sizes (small / medium /
 // large) flattened into >10k independent (query, node) training units.
 // A splittable-RNG fault plan marks ~5% of units as stragglers that cost
 // ~40x the base work, so the per-unit durations are heavily skewed —
-// exactly the regime the elastic scheduler exists for.
+// exactly the regime dynamic claiming exists for.
 //
 // The determinism contract is asserted BEFORE anything is timed: per-unit
 // outputs (each a pure function of the unit's SplitRng coordinate) written
-// to per-unit slots must be BITWISE identical across sequential, fixed
-// per-unit dispatch, and elastic dispatch at every measured worker count,
-// including under stealing. Only then are the same unit sets re-run under
-// the clock.
+// to per-unit slots must be BITWISE identical between the sequential loop
+// and ParallelUnits at every measured worker count, including under
+// stealing. Only then are the same unit sets re-run under the clock.
 //
 // Sections:
-//   equality  — bitwise slot comparison, sequential vs fixed vs elastic.
-//   straggler — timed dispatch per worker count; speedup = fixed / elastic.
+//   equality  — bitwise slot comparison, sequential vs ParallelUnits.
+//   straggler — timed dispatch per worker count (the caller participates on
+//               top of the workers); speedup = sequential / ParallelUnits.
 //
-// The fixed baseline is the pre-elastic dispatch pattern (one queued task
-// + future per unit, exactly ParallelChunks with chunk_rows = 1); elastic
-// is ParallelUnits' CAS range claiming. On multi-core hosts the win
-// combines load balancing with cheaper dispatch; on a single-core host
-// (degraded: true in the JSON) the balancing term vanishes and the
-// measured win is the dispatch-overhead reduction alone, which is the
-// floor of the real effect.
+// On a single-core host (degraded: true in the JSON) there is no parallel
+// win to measure: the speedup reads the dispatch overhead (<= 1).
 
 #include <cinttypes>
 #include <cstdint>
@@ -88,29 +84,18 @@ void RunSequential(std::vector<double>& slots) {
   for (size_t u = 0; u < slots.size(); ++u) slots[u] = UnitWork(u);
 }
 
-/// The pre-elastic dispatch: one queued task + future per unit.
-void RunFixed(common::ThreadPool& pool, std::vector<double>& slots) {
-  pool.ParallelChunks(slots.size(), /*chunk_rows=*/1,
-                      [&](size_t, size_t begin, size_t end) {
-                        for (size_t u = begin; u < end; ++u) {
-                          slots[u] = UnitWork(u);
-                        }
-                      });
-}
-
-void RunElastic(common::ThreadPool& pool, std::vector<double>& slots) {
+void RunParallel(common::ThreadPool& pool, std::vector<double>& slots) {
   pool.ParallelUnits(slots.size(), [&](size_t u) { slots[u] = UnitWork(u); });
 }
 
 void DieOnDivergence(const std::vector<double>& expected,
-                     const std::vector<double>& got, const char* path,
-                     size_t workers) {
+                     const std::vector<double>& got, size_t workers) {
   for (size_t u = 0; u < expected.size(); ++u) {
     if (expected[u] != got[u]) {
       std::fprintf(stderr,
-                   "FATAL: %s dispatch at workers=%zu diverges from "
+                   "FATAL: ParallelUnits at workers=%zu diverges from "
                    "sequential at unit %zu\n",
-                   path, workers, u);
+                   workers, u);
       std::exit(1);
     }
   }
@@ -125,7 +110,7 @@ int main(int argc, char** argv) {
 
   BenchJson json("bench_x12_elastic_scheduling", &argc, argv);
   PrintHeader(
-      "X12: elastic work-stealing vs fixed per-unit dispatch "
+      "X12: ParallelUnits work-stealing dispatch vs sequential "
       "(straggler-heavy fan-out)");
   const bool degraded = json.MarkThroughputSensitive();
   const size_t hw = HardwareThreads();
@@ -140,26 +125,23 @@ int main(int argc, char** argv) {
       100.0 * static_cast<double>(stragglers) / kUnits,
       kStragglerIters / kBaseIters);
   std::printf("hardware threads: %zu%s\n", hw,
-              degraded ? " (single core: the balancing win vanishes; the "
-                         "measured speedup is dispatch overhead alone)"
+              degraded ? " (single core: no parallel win; the measured "
+                         "speedup is dispatch overhead alone)"
                        : "");
 
   const std::vector<size_t> worker_counts = {0, 2, 4, 8};
 
-  // Phase 1: the determinism contract, asserted before any timing. Every
-  // dispatch path must fill the slot vector bit-identically to the
+  // Phase 1: the determinism contract, asserted before any timing.
+  // ParallelUnits must fill the slot vector bit-identically to the
   // sequential loop at every worker count.
   std::vector<double> expected(kUnits, 0.0);
   RunSequential(expected);
   for (const size_t workers : worker_counts) {
     common::ThreadPool pool(workers);
-    std::vector<double> fixed(kUnits, 0.0);
-    RunFixed(pool, fixed);
-    DieOnDivergence(expected, fixed, "fixed", workers);
-    std::vector<double> elastic(kUnits, 0.0);
-    RunElastic(pool, elastic);
-    DieOnDivergence(expected, elastic, "elastic", workers);
-    std::printf("workers=%zu: fixed and elastic bitwise identical to "
+    std::vector<double> parallel(kUnits, 0.0);
+    RunParallel(pool, parallel);
+    DieOnDivergence(expected, parallel, workers);
+    std::printf("workers=%zu: ParallelUnits bitwise identical to "
                 "sequential\n",
                 workers);
     BenchRecord record;
@@ -186,28 +168,23 @@ int main(int argc, char** argv) {
 
   const double seq_seconds =
       time_best_of([&](std::vector<double>& s) { RunSequential(s); });
-  std::printf("\n%-10s %14s %14s %10s\n", "workers", "fixed_s", "elastic_s",
-              "speedup");
-  std::printf("%-10s %14.4f %14s %10s  (sequential reference)\n", "-",
-              seq_seconds, "-", "-");
+  std::printf("\n%-10s %14s %14s %10s\n", "workers", "sequential_s",
+              "parallel_s", "speedup");
   for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
     common::ThreadPool pool(workers);
-    const double fixed_seconds = time_best_of(
-        [&](std::vector<double>& s) { RunFixed(pool, s); });
-    const double elastic_seconds = time_best_of(
-        [&](std::vector<double>& s) { RunElastic(pool, s); });
+    const double parallel_seconds = time_best_of(
+        [&](std::vector<double>& s) { RunParallel(pool, s); });
     const double speedup =
-        elastic_seconds > 0 ? fixed_seconds / elastic_seconds : 0.0;
-    std::printf("%-10zu %14.4f %14.4f %10.2f\n", workers, fixed_seconds,
-                elastic_seconds, speedup);
+        parallel_seconds > 0 ? seq_seconds / parallel_seconds : 0.0;
+    std::printf("%-10zu %14.4f %14.4f %10.2f\n", workers, seq_seconds,
+                parallel_seconds, speedup);
     BenchRecord record;
     record.name = "straggler_w" + std::to_string(workers);
     record.labels["section"] = "straggler";
     record.labels["workers"] = std::to_string(workers);
     record.values["units"] = static_cast<double>(kUnits);
-    record.values["fixed_seconds"] = fixed_seconds;
-    record.values["elastic_seconds"] = elastic_seconds;
     record.values["sequential_seconds"] = seq_seconds;
+    record.values["parallel_seconds"] = parallel_seconds;
     record.values["speedup"] = speedup;
     json.Add(std::move(record));
   }

@@ -155,7 +155,8 @@ Result<KMeansResult> KMeans::Fit(const Matrix& data) const {
   std::unique_ptr<common::ThreadPool> pool;
   std::vector<ChunkPartial> partials;
   if (options_.num_threads > 1 && m > 1) {
-    pool = std::make_unique<common::ThreadPool>(options_.num_threads);
+    // The calling thread is one of the num_threads participants.
+    pool = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
     const size_t num_chunks = (m + kAssignChunkRows - 1) / kAssignChunkRows;
     partials.resize(num_chunks);
     for (ChunkPartial& partial : partials) {
@@ -176,13 +177,7 @@ Result<KMeansResult> KMeans::Fit(const Matrix& data) const {
         AssignChunk(data, begin, end, result.centroids, &result.assignment,
                     &partials[chunk]);
       };
-      if (options_.elastic) {
-        // Same chunk grid and partial slots, dynamic claiming: only thread
-        // placement changes, so the ascending reduction below is untouched.
-        pool->ParallelChunksElastic(m, kAssignChunkRows, assign_chunk);
-      } else {
-        pool->ParallelChunks(m, kAssignChunkRows, assign_chunk);
-      }
+      pool->ParallelChunks(m, kAssignChunkRows, assign_chunk);
       counts = partials[0].counts;
       new_centroids = partials[0].sums;
       for (size_t c = 1; c < partials.size(); ++c) {

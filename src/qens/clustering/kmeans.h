@@ -29,22 +29,15 @@ struct KMeansOptions {
   double tolerance = 1e-6;  ///< Stop when max centroid shift <= tolerance.
   KMeansInit init = KMeansInit::kKMeansPlusPlus;
   uint64_t seed = 7;
-  /// Worker threads for the Lloyd assignment step. <= 1 keeps the exact
+  /// Threads for the Lloyd assignment step. <= 1 keeps the exact
   /// sequential path (bit-identical to the pre-threading implementation).
-  /// With > 1, rows are split into contiguous fixed-size chunks whose
+  /// With n > 1, rows are split into contiguous fixed-size chunks, claimed
+  /// dynamically by the calling thread plus n - 1 pool workers, whose
   /// per-chunk partial sums are reduced in ascending chunk order, so
   /// results are bit-identical across every thread count >= 2 (and
   /// identical to sequential whenever the data fits one chunk). A pool is
   /// created once per Fit invocation.
   size_t num_threads = 1;
-  /// Elastic claiming of the Lloyd assignment chunks (requires
-  /// num_threads > 1): the chunk *grid* is unchanged — same boundaries,
-  /// same per-chunk partial slots, same ascending-order reduction — but
-  /// chunks are claimed dynamically (work-stealing, size-adaptive; see
-  /// ElasticOptions in thread_pool.h) instead of queued one task per
-  /// chunk, so uneven chunk costs no longer serialize on the fixed
-  /// dispatch. Bit-identical to the fixed path at every worker count.
-  bool elastic = false;
   /// Derive the seeding stream from the registered SplitRng kKMeansInit
   /// purpose path instead of `Rng(seed)` directly. Changes which initial
   /// centroids are drawn (default off keeps historical fits

@@ -16,7 +16,8 @@
 ///  1. Any unit of work can reconstruct its exact stream from its logical
 ///     coordinates alone — never from draw order or thread identity — which
 ///     makes dynamic (work-stealing, size-adaptive) scheduling legal without
-///     giving up bit-identical replay. See ElasticOptions in thread_pool.h.
+///     giving up bit-identical replay. See ThreadPool::ParallelUnits in
+///     thread_pool.h.
 ///  2. Streams can be audited: the full key path of every stream in the
 ///     system is documented in the purpose registry (docs/PERFORMANCE.md).
 ///

@@ -1,7 +1,7 @@
-// Tests for the shared worker pool: futures arrive in submission order with
-// the right values, chunk grids cover the input exactly once with
-// worker-count-independent boundaries, exceptions propagate through
-// futures, and destruction drains the queue.
+// Tests for the shared worker pool: the worker count is clamped, chunk
+// grids cover the input exactly once with worker-count-independent
+// boundaries, and one pool serves many calls. Scheduling under stealing,
+// busy pools and destruction is covered by common_elastic_pool_test.
 
 #include "qens/common/thread_pool.h"
 
@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 namespace qens::common {
@@ -22,35 +20,6 @@ TEST(ThreadPoolTest, WorkerCountClampedToAtLeastOne) {
   EXPECT_EQ(pool.num_threads(), 1u);
   ThreadPool pool4(4);
   EXPECT_EQ(pool4.num_threads(), 4u);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsResultsInSubmissionOrder) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, OversubscribedSubmitsAllComplete) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.Submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelChunksCoversEveryIndexOnce) {
@@ -86,26 +55,15 @@ TEST(ThreadPoolTest, ParallelChunksHandlesShortAndEmptyInputs) {
   EXPECT_EQ(calls, 1u);
 }
 
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&count] { ++count; });
-    }
-  }  // Destructor must run every queued task before joining.
-  EXPECT_EQ(count.load(), 32);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossBatchesOfWork) {
   ThreadPool pool(2);
   for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 10; ++i) {
-      futures.push_back(pool.Submit([batch, i] { return batch * 100 + i; }));
-    }
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_EQ(futures[static_cast<size_t>(i)].get(), batch * 100 + i);
+    std::vector<int> slots(10, -1);
+    pool.ParallelUnits(slots.size(), [&slots, batch](size_t i) {
+      slots[i] = batch * 100 + static_cast<int>(i);
+    });
+    for (size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_EQ(slots[i], batch * 100 + static_cast<int>(i));
     }
   }
 }

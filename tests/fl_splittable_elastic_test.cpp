@@ -1,10 +1,11 @@
 // Federation-level contract of the splittable-RNG mode: every stream is a
 // pure function of logical coordinates, so outcomes are bit-identical
-// across training participant counts, elastic serving and query arrival
-// order — including under an active fault plan. Also pins that elastic
-// serving requires a splittable fleet and that the legacy seed
-// derivations stay byte-identical (the quickstart/bench outputs pin that
-// end to end; here we pin the seeds).
+// across training participant counts, pooled serving and query arrival
+// order — including under an active fault plan. Pooled serving is pinned
+// for legacy-RNG fleets too: session seeds depend only on (base seed,
+// session id) in both modes. Also pins that the legacy seed derivations
+// stay byte-identical (the quickstart/bench outputs pin that end to end;
+// here we pin the seeds).
 
 #include <gtest/gtest.h>
 
@@ -69,23 +70,6 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_DOUBLE_EQ(a.sim_time_total, b.sim_time_total);
   EXPECT_DOUBLE_EQ(a.sim_time_parallel, b.sim_time_parallel);
   EXPECT_DOUBLE_EQ(a.sim_time_comm, b.sim_time_comm);
-}
-
-TEST(SplittableElasticTest, ElasticServingRequiresSplittableFleet) {
-  FederationOptions options = SplittableOptions();
-  options.splittable_rng = false;
-  auto fleet = Fleet::Create(MakeNodes(), options);
-  ASSERT_TRUE(fleet.ok());
-  ServingOptions serving;
-  serving.num_workers = 2;
-  serving.elastic = true;
-  auto server = QueryServer::Create(*fleet, serving);
-  ASSERT_TRUE(server.ok());
-  SessionSpec spec;
-  spec.queries.push_back(QueryOver(0, 10, 1));
-  auto results = server->Serve({spec, spec});
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SplittableElasticTest, TrainingFanOutBitIdenticalToInline) {
@@ -167,10 +151,10 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalToInline) {
   }
 }
 
-TEST(SplittableElasticTest, ElasticServingBitIdenticalToSequential) {
-  auto fleet = Fleet::Create(MakeNodes(), SplittableOptions());
-  ASSERT_TRUE(fleet.ok());
-  // Mixed session sizes so elastic claiming actually redistributes.
+TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
+  // Mixed session sizes so dynamic claiming actually redistributes. Both
+  // RNG modes: session seeds are pure functions of (base seed, session id)
+  // either way, so pooled serving needs no splittable fleet.
   std::vector<SessionSpec> specs;
   for (size_t s = 0; s < 5; ++s) {
     SessionSpec spec;
@@ -181,30 +165,37 @@ TEST(SplittableElasticTest, ElasticServingBitIdenticalToSequential) {
     specs.push_back(std::move(spec));
   }
 
-  auto sequential = QueryServer::Create(*fleet, ServingOptions{});
-  ASSERT_TRUE(sequential.ok());
-  auto expected = sequential->Serve(specs);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const bool splittable : {true, false}) {
+    FederationOptions options = SplittableOptions();
+    options.splittable_rng = splittable;
+    auto fleet = Fleet::Create(MakeNodes(), options);
+    ASSERT_TRUE(fleet.ok());
+    auto sequential = QueryServer::Create(*fleet, ServingOptions{});
+    ASSERT_TRUE(sequential.ok());
+    auto expected = sequential->Serve(specs);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  for (const size_t workers : {size_t{2}, size_t{4}}) {
-    ServingOptions serving;
-    serving.num_workers = workers;
-    serving.elastic = true;
-    auto server = QueryServer::Create(*fleet, serving);
-    ASSERT_TRUE(server.ok());
-    auto results = server->Serve(specs);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    ASSERT_EQ(results->size(), expected->size());
-    for (size_t s = 0; s < results->size(); ++s) {
-      SCOPED_TRACE(testing::Message() << "workers=" << workers
-                                      << " session=" << s);
-      EXPECT_EQ((*results)[s].session_id, (*expected)[s].session_id);
-      EXPECT_EQ((*results)[s].comm_bytes, (*expected)[s].comm_bytes);
-      ASSERT_EQ((*results)[s].outcomes.size(),
-                (*expected)[s].outcomes.size());
-      for (size_t q = 0; q < (*results)[s].outcomes.size(); ++q) {
-        ExpectIdenticalOutcomes((*expected)[s].outcomes[q],
-                                (*results)[s].outcomes[q]);
+    for (const size_t workers : {size_t{2}, size_t{4}}) {
+      ServingOptions serving;
+      serving.num_workers = workers;
+      auto server = QueryServer::Create(*fleet, serving);
+      ASSERT_TRUE(server.ok());
+      auto results = server->Serve(specs);
+      ASSERT_TRUE(results.ok()) << results.status().ToString();
+      ASSERT_EQ(results->size(), expected->size());
+      for (size_t s = 0; s < results->size(); ++s) {
+        SCOPED_TRACE(testing::Message()
+                     << "splittable=" << splittable << " workers=" << workers
+                     << " session=" << s);
+        EXPECT_TRUE((*results)[s].status.ok());
+        EXPECT_EQ((*results)[s].session_id, (*expected)[s].session_id);
+        EXPECT_EQ((*results)[s].comm_bytes, (*expected)[s].comm_bytes);
+        ASSERT_EQ((*results)[s].outcomes.size(),
+                  (*expected)[s].outcomes.size());
+        for (size_t q = 0; q < (*results)[s].outcomes.size(); ++q) {
+          ExpectIdenticalOutcomes((*expected)[s].outcomes[q],
+                                  (*results)[s].outcomes[q]);
+        }
       }
     }
   }

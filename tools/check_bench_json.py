@@ -51,6 +51,11 @@ BENCH_REQUIREMENTS = {
     "bench_x12_elastic_scheduling": {
         "sections": {"equality", "straggler"},
         "record_values": {"units"},
+        "section_values": {
+            "equality": {"identical"},
+            "straggler": {"sequential_seconds", "parallel_seconds",
+                          "speedup"},
+        },
     },
     "bench_x13_serving_slo": {
         "sections": {"equality", "slo", "throughput"},
