@@ -2,10 +2,15 @@
 // fleet are bit-identical at EVERY worker count (0 = sequential inline,
 // 1, 2, 4, 8 = pooled), because each session's seed derives only from
 // (base seed, session id) and every piece of mutable state is private to
-// the session. Also pins the session-id tagging of RoundRecords and that
-// serving leaves a concurrently used sequential Federation untouched.
+// the session. Also pins the session scheduler's concurrency cap, the
+// session-id tagging of RoundRecords and that serving leaves a
+// concurrently used sequential Federation untouched.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "qens/common/rng.h"
 #include "qens/fl/federation.h"
@@ -132,6 +137,34 @@ TEST(QueryServerTest, BitIdenticalAtEveryWorkerCount) {
     ASSERT_EQ(results->size(), expected->size());
     for (size_t s = 0; s < results->size(); ++s) {
       ExpectIdenticalSessionResults((*expected)[s], (*results)[s]);
+    }
+  }
+}
+
+TEST(QueryServerTest, SessionsInFlightNeverExceedWorkers) {
+  // The scheduler behind Serve runs the caller plus num_workers - 1 pool
+  // workers, so a gauge of sessions in flight never passes num_workers,
+  // and results still come back in session order.
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    std::atomic<size_t> in_flight{0};
+    std::atomic<size_t> peak{0};
+    const std::vector<SessionResult> results =
+        RunSessions(workers, 16, [&](size_t i) {
+          const size_t now = in_flight.fetch_add(1) + 1;
+          size_t seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          in_flight.fetch_sub(1);
+          SessionResult result;
+          result.session_id = i + 1;
+          return result;
+        });
+    EXPECT_LE(peak.load(), workers) << "workers " << workers;
+    EXPECT_GE(peak.load(), 1u);
+    ASSERT_EQ(results.size(), 16u);
+    for (size_t s = 0; s < results.size(); ++s) {
+      EXPECT_EQ(results[s].session_id, s + 1);
     }
   }
 }
